@@ -2,8 +2,9 @@
 
 Each check runs a Monte Carlo experiment at a declared scale and compares the
 outcome against a declared tolerance.  Two tiers exist: ``full`` (the binding
-thresholds, ~15-30 min) and ``quick`` (reduced scale smoke thresholds,
-~2 min).  Checks are deterministic given the master seed.
+thresholds, ~3 min) and ``quick`` (reduced scale smoke thresholds, ~30 s),
+timed with two worker processes on 2 cores.  Checks are deterministic given
+the master seed.
 
 The half-length check ``shorth-r-law`` compares sqrt(n)(r_n - rho) with its
 second-order law -(Z + n^(-1/6) S)/c1: Z ~ N(0, 1/4) is the centered
@@ -16,7 +17,8 @@ location shift of about -0.24 at n = 64000, so the first-order Gaussian
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +57,7 @@ class CheckResult:
     measured: dict
     threshold: str
     detail: str = ""
+    wall_s: float = 0.0  # set by run_all
 
 
 def format_result(res: CheckResult) -> str:
@@ -541,10 +544,8 @@ def check_oracle_linearization(tier: TierParams, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_all(tier: TierParams, master_seed: int = DEFAULT_SEED, workers: int = 1,
-            progress=None) -> list[CheckResult]:
-    """Run every acceptance check; deterministic given the master seed."""
-    checks = [
+def _check_list(tier: TierParams, master_seed: int, workers: int) -> list:
+    return [
         lambda: check_rate_calculus(),
         lambda: check_lasso_zero_collapse(tier, master_seed, workers),
         lambda: check_lasso_first_component(tier, master_seed, workers),
@@ -560,10 +561,18 @@ def run_all(tier: TierParams, master_seed: int = DEFAULT_SEED, workers: int = 1,
         lambda: check_oracle_chernoff_scaling(tier, master_seed),
         lambda: check_oracle_linearization(tier, master_seed),
     ]
+
+
+def run_all(tier: TierParams, master_seed: int = DEFAULT_SEED, workers: int = 1,
+            progress=None) -> list[CheckResult]:
+    """Run every acceptance check; deterministic given the master seed.
+    Each result carries the check's wall time in ``wall_s``."""
     results = []
-    for run in checks:
+    for run in _check_list(tier, master_seed, workers):
+        t0 = time.perf_counter()
         res = run()
+        res = replace(res, wall_s=time.perf_counter() - t0)
         results.append(res)
         if progress is not None:
-            progress(format_result(res))
+            progress(f"{format_result(res)} ({res.wall_s:.1f} s)")
     return results

@@ -162,8 +162,10 @@ def _cmd_rates(args) -> int:
 # subcommand: simulate
 
 
-def _limit_draws_for(experiment: str, component: str, params, master_seed: int, draws: int):
-    """Reference-law draws for the KS comparison of one component, or None."""
+def _limit_draws_for(experiment: str, component: str, params, master_seed: int, draws: int,
+                     kmeans_cov=None):
+    """Reference-law draws for the KS comparison of one component, or None.
+    ``kmeans_cov`` is the k-means score covariance, estimated once per run."""
     stream = SeedStream(master_seed, derive_stream_index("limit", experiment, component))
     if experiment == "lasso" and component == "alpha1":
         return sample_lasso_limits(1.0 / 3.0, params["lambda0"], params["sigma"], stream, draws)
@@ -178,10 +180,8 @@ def _limit_draws_for(experiment: str, component: str, params, master_seed: int, 
             ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=draws), stream
         )
     if experiment == "kmeans":
-        cov_stream = SeedStream(master_seed, derive_stream_index("limit", "kmeans", "cov"))
-        inputs = estimate_kmeans_cov(1_000_000, cov_stream)
         cols = {"delta_s": 0, "eps_d": 1, "delta_d": 2, "eps_s": 3}
-        return sample_kmeans_limit(inputs, stream, draws)[:, cols[component]]
+        return sample_kmeans_limit(kmeans_cov, stream, draws)[:, cols[component]]
     return None
 
 
@@ -205,6 +205,10 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
     plotdata: dict = {}
 
     collapsed = set()
+    kmeans_cov = None
+    if cfg.experiment == "kmeans":
+        cov_stream = SeedStream(cfg.master_seed, derive_stream_index("limit", "kmeans", "cov"))
+        kmeans_cov = estimate_kmeans_cov(1_000_000, cov_stream)
     if cfg.experiment == "lasso":
         fractions = {}
         for n in cfg.n_values:
@@ -256,7 +260,7 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
         scale = float(top_n) ** float(exponents[comp])
         rescaled = scale * errs
         draws = _limit_draws_for(
-            cfg.experiment, comp, cfg.params, cfg.master_seed, errs.size
+            cfg.experiment, comp, cfg.params, cfg.master_seed, errs.size, kmeans_cov
         )
         if draws is None:
             continue
@@ -323,6 +327,9 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"summary must be 'median-abs' or 'rmse', got {summary_kind!r}")
     if params.get("design_mode", "fresh") not in ("fresh", "fixed"):
         raise ConfigError(f"design_mode must be 'fresh' or 'fixed', got {params['design_mode']!r}")
+    if experiment == "lasso" and params.get("d", 2) not in (2, 3):
+        # records hold alpha1 and alpha2, and the solver's grid caps d at 3
+        raise ConfigError(f"lasso d must be 2 or 3, got {params['d']!r}")
     threads = args.threads if args.threads is not None else int(settings.get("threads", 1))
     started = _utcnow()
     records = run_ladder(cfg, workers=threads)
@@ -436,6 +443,7 @@ def _cmd_verify(args) -> int:
                     "passed": r.passed,
                     "threshold": r.threshold,
                     "measured": r.measured,
+                    "wall_s": r.wall_s,
                 }
                 for r in results
             ],
@@ -551,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier_group.add_argument("--quick", action="store_true", help="reduced-scale tier (default)")
     tier_group.add_argument(
         "--full", action="store_true",
-        help="binding thresholds, ~5-30 min depending on --threads",
+        help="binding thresholds, ~3 min at --threads 2 on 2 cores",
     )
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--threads", type=int, default=1)

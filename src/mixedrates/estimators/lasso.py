@@ -146,12 +146,25 @@ def _grid_points(los, his, points: int) -> list[np.ndarray]:
     return [_axis_grid(lo, hi, points) for lo, hi in zip(los, his)]
 
 
+def _grid_values(axes: list[np.ndarray], xtx, xty, yty, lam, gamma) -> np.ndarray:
+    """Criterion on the tensor grid of ``axes`` as a separable sum:
+    yty + sum_j u_j(a_j) + sum_{j<k} 2 Q_jk a_j a_k, with each
+    u_j(a) = (Q_jj a - 2 xty_j) a + lam |a|^gamma evaluated on its own axis
+    and broadcast into the grid array."""
+    open_axes = np.ix_(*axes)
+    vals = yty
+    for j, a in enumerate(open_axes):
+        vals = vals + ((xtx[j, j] * a - 2.0 * xty[j]) * a + lam * np.abs(a) ** gamma)
+    for j in range(len(axes)):
+        for k in range(j + 1, len(axes)):
+            vals = vals + (2.0 * xtx[j, k]) * open_axes[j] * open_axes[k]
+    return vals
+
+
 def _grid_min(axes: list[np.ndarray], xtx, xty, yty, lam, gamma):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    A = np.column_stack([m.ravel() for m in mesh])
-    vals = _batch_values(A, xtx, xty, yty, lam, gamma)
-    i = int(np.argmin(vals))
-    return A[i].copy(), float(vals[i])
+    vals = _grid_values(axes, xtx, xty, yty, lam, gamma)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return np.array([a[i] for a, i in zip(axes, idx)]), float(vals[idx])
 
 
 def _golden(f, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
@@ -176,28 +189,37 @@ def _golden(f, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
     return (x, fc) if fc < fd else (x, fd)
 
 
+def _slice_criterion(x, j: int, xtx, xty, yty, lam: float, gamma: float):
+    """The criterion along coordinate j with the others fixed at ``x``:
+    t -> base + t (lin + Q_jj t) + lam |t|^gamma, on plain floats."""
+    rest = x.copy()
+    rest[j] = 0.0
+    q_rest = xtx @ rest
+    base = float(
+        yty - 2.0 * (rest @ xty) + rest @ q_rest + lam * np.sum(np.abs(rest) ** gamma)
+    )
+    lin = float(2.0 * q_rest[j] - 2.0 * xty[j])
+    q_jj = float(xtx[j, j])
+
+    def f(t):
+        return base + t * (lin + q_jj * t) + lam * abs(t) ** gamma
+
+    return f
+
+
 def _coordinate_polish(start, lo, hi, free, xtx, xty, yty, lam, gamma, sweeps=3):
     """Cyclic per-coordinate golden-section descent restricted to the sign
     orthant of the start point (the penalty is smooth away from zero)."""
     x = start.copy()
-
-    def value(v):
-        return float(_batch_values(v[None, :], xtx, xty, yty, lam, gamma)[0])
-
-    best = value(x)
+    best = float(_batch_values(x[None, :], xtx, xty, yty, lam, gamma)[0])
     for _ in range(sweeps):
         for j in free:
-            b_lo, b_hi = lo[j], hi[j]
+            b_lo, b_hi = float(lo[j]), float(hi[j])
             if x[j] > 0.0:
                 b_lo = max(b_lo, 0.0)
             elif x[j] < 0.0:
                 b_hi = min(b_hi, 0.0)
-
-            def slice_f(t, j=j):
-                xt = x.copy()
-                xt[j] = t
-                return value(xt)
-
+            slice_f = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
             t, ft = _golden(slice_f, b_lo, b_hi)
             # Strictly-better-than-noise acceptance keeps exact starts (e.g.
             # the OLS point when the penalty vanishes) untouched.
@@ -217,14 +239,23 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
     whenever its axis-restricted optimum beats the interior value.  If the
     incumbent lands within one coarse cell of the box edge the box is doubled,
     at most twice.
+
+    The criterion is evaluated through (X'X, X'y, y'y) only.  On a tensor grid
+    it is a separable sum of per-axis terms plus pairwise products, broadcast
+    into the grid array; along a polish slice it is a scalar quadratic plus
+    the penalty term, searched on plain floats.  The grid has up to 102^d
+    points, so d is capped at 3.
     """
     y = np.asarray(responses, dtype=np.float64).ravel()
     X = config.design
     n, d = X.shape
     if y.size != n:
         raise ValueError("responses length does not match the design")
-    if d > 6:
-        raise ValueError("solver enumerates zero patterns; d > 6 is not supported")
+    if d > 3:
+        raise ValueError(
+            f"d = {d} is not supported (d <= 3): the grid stage holds 102^d criterion "
+            "values, and one float64 array of a 102^4 grid is 0.87 GB"
+        )
     xtx, xty, yty = _quad_parts(y, X)
     lam, gamma = config.lambda_n, config.gamma
 

@@ -183,10 +183,10 @@ def _run_kmeans_replicate(params, master_seed: int, n: int, r: int) -> list[Ladd
     if cv.left_neighborhood:
         diags.append("left_neighborhood")
     errors = {
-        "delta_s": cv.delta_s,
-        "eps_d": cv.eps_d,
-        "delta_d": cv.delta_d,
-        "eps_s": cv.eps_s,
+        "delta_s": float(cv.delta_s),
+        "eps_d": float(cv.eps_d),
+        "delta_d": float(cv.delta_d),
+        "eps_s": float(cv.eps_s),
     }
     return [
         LadderRecord(

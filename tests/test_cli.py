@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mixedrates import cli
+from mixedrates import acceptance, cli
 from mixedrates.acceptance import CheckResult
+from mixedrates.harness import EXPERIMENTS
 
 
 def run_cli(args):
@@ -119,6 +120,56 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["summary"] == "rmse"
 
+    @pytest.mark.parametrize("d", ["1", "4"])
+    def test_lasso_dimension_outside_two_three_exits_3(self, tmp_path, capsys, d):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"experiment = lasso\nn_values = 60, 120, 240, 480\nreplicates = 50\nd = {d}\n"
+        )
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "d must be 2 or 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """One small simulate run per experiment, counting covariance estimates."""
+    calls = []
+    real = cli.estimate_kmeans_cov
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    outs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "estimate_kmeans_cov", counting)
+        for experiment in EXPERIMENTS:
+            out = tmp_path_factory.mktemp(experiment)
+            argv = [
+                "simulate", "--experiment", experiment, "--n-values", "100,200,400,800",
+                "--replicates", "50", "--seed", "5", "--out-dir", str(out),
+            ]
+            assert run_cli(argv) == 0
+            outs[experiment] = out
+    return outs, len(calls)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_record_error_is_a_number(small_runs, experiment):
+    outs, _ = small_runs
+    rows = (outs[experiment] / "records.csv").read_text().splitlines()[1:]
+    assert len(rows) > 0
+    for row in rows:
+        float(row.split(",")[4])
+
+
+def test_kmeans_covariance_estimated_once_per_summary(small_runs):
+    outs, cov_calls = small_runs
+    summary = json.loads((outs["kmeans"] / "summary.json").read_text())
+    assert len(summary["ks_vs_limit"]) == 4
+    assert cov_calls == 1
+
 
 class TestLimitCommand:
     def test_chernoff_csv(self, tmp_path):
@@ -179,6 +230,16 @@ class TestVerifyCommand:
         )
         assert run_cli(["verify", "--full"]) == 4
         assert "1/2 checks passed" in capsys.readouterr().out
+
+    def test_manifest_records_check_wall_times(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            acceptance, "_check_list",
+            lambda tier, master_seed, workers: [acceptance.check_rate_calculus],
+        )
+        assert run_cli(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert len(checks) == 1
+        assert checks[0]["wall_s"] > 0.0
 
     def test_tiers_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,13 @@ from mixedrates.estimators import (
     generate_lasso_design,
     search_box,
 )
+from mixedrates.estimators.lasso import (
+    _batch_values,
+    _grid_min,
+    _grid_points,
+    _grid_values,
+    _slice_criterion,
+)
 
 
 def brute_force_minimum(y, cfg, points=2001):
@@ -135,6 +142,101 @@ class TestBridgeLassoSolver:
         a = fit_bridge_lasso(y, cfg)
         b = fit_bridge_lasso(y, cfg)
         assert a.alpha_hat.tolist() == b.alpha_hat.tolist()
+
+
+def gram_instance(n, d, seed):
+    """Sufficient statistics (X'X, X'y, y'y) and penalty of a random instance."""
+    gen = np.random.default_rng([seed, d])
+    X = gen.uniform(-1.0, 1.0, size=(n, d))
+    X -= X.mean(axis=0)
+    y = X[:, 0] + gen.standard_normal(n)
+    return X.T @ X, X.T @ y, float(y @ y), 2.0 * math.sqrt(n), 0.5
+
+
+class TestCriterionKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slice_matches_batch_values(self, d, seed):
+        xtx, xty, yty, lam, gamma = gram_instance(50 * (seed + 1), d, seed)
+        gen = np.random.default_rng(seed)
+        for _ in range(20):
+            x = gen.normal(0.0, 2.0, size=d)
+            x[gen.random(d) < 0.3] = 0.0
+            j = int(gen.integers(d))
+            f = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
+            for t in [0.0, *gen.normal(0.0, 3.0, size=5)]:
+                pt = x.copy()
+                pt[j] = t
+                ref = _batch_values(pt[None, :], xtx, xty, yty, lam, gamma)[0]
+                assert f(float(t)) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_separable_grid_matches_gram_form(self, d, seed):
+        xtx, xty, yty, lam, gamma = gram_instance(100 * (seed + 1), d, seed)
+        gen = np.random.default_rng(seed)
+        center = gen.normal(0.0, 1.0, size=d)
+        axes = _grid_points(center - 4.0, center + 4.0, 41 if d == 3 else 101)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        A = np.column_stack([m.ravel() for m in mesh])
+        ref = _batch_values(A, xtx, xty, yty, lam, gamma)
+        sep = _grid_values(axes, xtx, xty, yty, lam, gamma)
+        assert sep.shape == tuple(a.size for a in axes)
+        np.testing.assert_allclose(sep.ravel(), ref, rtol=1e-12)
+        point, value = _grid_min(axes, xtx, xty, yty, lam, gamma)
+        assert value == pytest.approx(ref.min(), rel=1e-12)
+        at_point = _batch_values(point[None, :], xtx, xty, yty, lam, gamma)[0]
+        assert at_point == pytest.approx(ref.min(), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_coefficients_never_above_dense_grid(self, seed):
+        s = SeedStream(300 + seed, 0)
+        X = generate_lasso_design(8, 3, s)
+        beta = np.array([1.0, 0.0, 0.0])
+        y = X @ beta + s.child("noise").generator().standard_normal(8)
+        cfg = LassoConfig(design=X, beta_true=beta, gamma=0.5, lambda0=2.0)
+        fit = fit_bridge_lasso(y, cfg)
+        best = dense_grid_min_3d(y, cfg)
+        assert fit.criterion_value <= best + 1e-12 * abs(best)
+        assert fit.criterion_value == pytest.approx(
+            criterion_value(fit.alpha_hat, y, cfg), rel=1e-12
+        )
+
+
+def dense_grid_min_3d(y, cfg, points=201):
+    """Dense-grid oracle for d = 3 over the solver's search box, zero planes
+    included, evaluated from the residuals."""
+    X, lam, gamma = cfg.design, cfg.lambda_n, cfg.gamma
+    _, lo, hi = search_box(y, X)
+    axes = []
+    for j in range(3):
+        g = np.linspace(lo[j], hi[j], points)
+        if lo[j] < 0.0 < hi[j]:
+            g = np.sort(np.append(g, 0.0))
+        axes.append(g)
+    A1, A2 = (m.ravel() for m in np.meshgrid(axes[1], axes[2], indexing="ij"))
+    fitted12 = np.outer(A1, X[:, 1]) + np.outer(A2, X[:, 2])
+    pen12 = lam * (np.abs(A1) ** gamma + np.abs(A2) ** gamma)
+    best = math.inf
+    for a0 in axes[0]:
+        resid = (y - a0 * X[:, 0])[None, :] - fitted12
+        vals = np.sum(resid**2, axis=1) + pen12 + lam * abs(a0) ** gamma
+        best = min(best, float(vals.min()))
+    return best
+
+
+class TestDimensionCap:
+    def test_four_coefficients_rejected_naming_the_grid(self):
+        X = generate_lasso_design(20, 4, SeedStream(18, 0))
+        cfg = LassoConfig(design=X, beta_true=[1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"102\^d"):
+            fit_bridge_lasso(np.zeros(20), cfg)
+
+    def test_three_coefficients_supported(self):
+        X = generate_lasso_design(30, 3, SeedStream(18, 1))
+        cfg = LassoConfig(design=X, beta_true=[1.0, 0.0, 0.0])
+        fit = fit_bridge_lasso(X[:, 0].copy(), cfg)
+        assert fit.alpha_hat.shape == (3,)
 
 
 class TestLassoConfigValidation:
