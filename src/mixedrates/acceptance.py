@@ -2,7 +2,7 @@
 
 Each check runs a Monte Carlo experiment at a declared scale and compares the
 outcome against a declared tolerance.  Two tiers exist: ``full`` (the binding
-thresholds, ~3 min) and ``quick`` (reduced scale smoke thresholds, ~30 s),
+thresholds, ~70 s) and ``quick`` (reduced scale smoke thresholds, ~16 s),
 timed with two worker processes on 2 cores.  Checks are deterministic given
 the master seed.
 

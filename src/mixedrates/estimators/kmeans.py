@@ -61,21 +61,32 @@ class KmeansCoords:
 
 def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels in {0, 1}; squared-distance ties go to center 1
-    (index 0)."""
-    d0 = np.sum((points - centers[0]) ** 2, axis=1)
-    d1 = np.sum((points - centers[1]) ** 2, axis=1)
-    return (d1 < d0).astype(np.int8)
+    (index 0).
+
+    |p - c1|^2 < |p - c0|^2 is the linear discriminant
+    p . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so labelling is one
+    matrix-vector product.
+    """
+    c0, c1 = centers
+    return (points @ (c1 - c0) > 0.5 * (c1 @ c1 - c0 @ c0)).astype(np.int8)
 
 
 def update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray):
     """Cluster means; an emptied cluster is re-seeded at the point farthest
-    from the other center.  Returns (new_centers, repaired_flag)."""
+    from the other center.  Returns (new_centers, repaired_flag).
+
+    Cluster 1's sum is ``labels @ points`` and cluster 0's is the sample
+    total minus it, so no masked copy of the points is made.
+    """
+    count1 = np.count_nonzero(labels)
+    sum1 = labels @ points
+    counts = (len(points) - count1, count1)
+    sums = (np.ones(len(points)) @ points - sum1, sum1)
     new = centers.copy()
     repaired = False
     for j in (0, 1):
-        mask = labels == j
-        if mask.any():
-            new[j] = points[mask].mean(axis=0)
+        if counts[j]:
+            new[j] = sums[j] / counts[j]
         else:
             other = new[1 - j]
             far = int(np.argmax(np.sum((points - other) ** 2, axis=1)))
@@ -91,36 +102,120 @@ def within_ss(points: np.ndarray, centers: np.ndarray) -> float:
     return float(np.minimum(d0, d1).mean())
 
 
+class _Band:
+    """The k-means criterion for center pairs within ``radius`` (per
+    coordinate) of ``centers``, split by which points can change sides.
+
+    Moving each center by at most ``radius`` per coordinate changes a point's
+    margin d1 - d0 by at most 2 (2 radius max_j |p - c_j|_1 + 2 radius^2).
+    Points whose margin exceeds that keep their nearer center, and they enter
+    every criterion value through three sums per center, taken about that
+    center's starting position s: the count, the sum of p - s and the sum of
+    |p - s|^2.  Sums about s rather than the origin keep the criterion
+    accurate for samples far from the origin.  Only the band of the
+    remaining points is evaluated point by point.  ``value`` is the
+    criterion at ``centers``; ``candidate_values`` evaluates the eight
+    compass moves of the pair last passed to ``move_to``.
+    """
+
+    def __init__(self, points: np.ndarray, centers: np.ndarray, radius: float):
+        x, y = points.T.copy()
+        resids, dists, l1 = [], [], []
+        for cx, cy in centers:
+            rx, ry = x - cx, y - cy
+            resids.append((rx, ry))
+            dists.append(rx * rx + ry * ry)
+            l1.append(np.abs(rx) + np.abs(ry))
+        d0, d1 = dists
+        self.value = float(np.minimum(d0, d1).mean())
+        margin = d1 - d0
+        # the last term covers rounding in the distances
+        reach = 4.0 * radius * np.maximum(*l1) + 4.0 * radius**2 + 1e-12 * (d0 + d1)
+        owned = [(margin > reach).astype(np.float64), (margin < -reach).astype(np.float64)]
+        # einsum rather than a BLAS dot: OpenBLAS spreads long dot products
+        # over threads, and waking them costs more than these sums
+        sums = np.array(
+            [[np.einsum("i,i->", w, v) for v in (*r, d)] for w, r, d in zip(owned, resids, dists)]
+        )
+        self.start = centers.copy()
+        self.count = np.array([w.sum() for w in owned])
+        self.sum, self.sumsq = sums[:, :2], sums[:, 2]
+        self._count3 = self.count[:, None, None]
+        band = np.abs(margin) <= reach
+        self.points = np.stack([x[band], y[band]])  # [axis, point]
+        self.n = len(points)
+        self.move_to(centers)
+
+    def move_to(self, cur: np.ndarray) -> None:
+        """Take ``cur`` as the pair whose candidate moves are evaluated."""
+        # fixed-owner points, with u = c - s:
+        # sum |p - c|^2 = sumsq - 2 sum.u + count |u|^2 (= sumsq - (sum + lin).u),
+        # and moving c_k by delta adds -2 delta lin_k + count delta^2,
+        # where lin = sum(p - c) = sum - count u
+        u = cur - self.start
+        lin = self.sum - self.count[:, None] * u
+        stay = self.sumsq - ((self.sum + lin) * u).sum(axis=1)
+        self._fixed = (stay + stay[::-1])[:, None, None]
+        self._fixed_lin = 2.0 * lin[:, :, None]
+        resid = self.points[None] - cur[:, :, None]  # [center, axis, point]
+        d = (resid * resid).sum(axis=1)
+        self._band_d = d[:, None, None, :]
+        self._band_other = d[::-1, None, None, :]
+        self._band_lin = 2.0 * resid[:, :, None, :]
+
+    def candidate_values(self, step: float) -> np.ndarray:
+        """Criterion values with one coordinate of the current pair moved by
+        +/-step, indexed [center, axis, sign] with the + move first."""
+        delta = np.array([step, -step])
+        fixed = self._fixed + self._count3 * step**2 - self._fixed_lin * delta
+        # band points: one [center, axis, sign, point] expression
+        moved = self._band_d - self._band_lin * delta[:, None] + step**2
+        band = np.minimum(moved, self._band_other, out=moved).sum(axis=-1)
+        return (fixed + band) / self.n
+
+
+def _lloyd(points: np.ndarray, init: str):
+    """Lloyd iteration from the ``init`` starting pair until the assignments
+    repeat or for at most 200 steps.  Returns (centers, repaired_flag)."""
+    centers = INIT_CENTERS[init].copy()
+    labels = assign_clusters(points, centers)
+    repaired = False
+    for _ in range(200):
+        centers, rep = update_centers(points, labels, centers)
+        repaired = repaired or rep
+        new_labels = assign_clusters(points, centers)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, repaired
+
+
 def _pattern_search(points, centers, step: float, rounds: int = 40):
     """Compass search on the four center coordinates: move to the best
     improvement among +/-step per coordinate, halving the step on failure.
 
     Improvements below the float-noise floor are rejected so an exact fixed
-    point (e.g. a perfectly symmetric sample) is left untouched.  Candidate
-    values are computed incrementally: a move changes one coordinate of one
-    center, so the distances to the other center are reused.
+    point (e.g. a perfectly symmetric sample) is left untouched.  Among the
+    eight candidates of a round the first that beats the running best by the
+    noise floor, in the order (center, axis, +/-), replaces it.  No
+    coordinate can move more than rounds * step, so the candidates are
+    evaluated through ``_Band``, which splits the points once.
     """
-    d = [np.sum((points - centers[j]) ** 2, axis=1) for j in (0, 1)]
-    best = float(np.minimum(d[0], d[1]).mean())
+    band = _Band(points, centers, rounds * step)
+    best = band.value
     cur = centers.copy()
     for _ in range(rounds):
         best_move, best_val = None, best
         noise = 1e-12 * (1.0 + abs(best))
-        for j in (0, 1):
-            for k in (0, 1):
-                resid = points[:, k] - cur[j, k]
-                for sign in (1.0, -1.0):
-                    delta = sign * step
-                    dj = d[j] - 2.0 * delta * resid + delta * delta
-                    val = float(np.minimum(dj, d[1 - j]).mean())
-                    if val < best_val - noise:
-                        best_move, best_val = (j, k, delta), val
+        for move, val in enumerate(band.candidate_values(step).ravel().tolist()):
+            if val < best_val - noise:
+                best_move, best_val = move, val
         if best_move is None:
             step *= 0.5
         else:
-            j, k, delta = best_move
-            cur[j, k] += delta
-            d[j] = np.sum((points - cur[j]) ** 2, axis=1)
+            j, k, sign = np.unravel_index(best_move, (2, 2, 2))
+            cur[j, k] += step if sign == 0 else -step
+            band.move_to(cur)
             best = best_val
     return cur, best
 
@@ -170,10 +265,18 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
     """Lloyd iteration from the chosen starting pair, then a pattern-search
     polish that can descend below the Lloyd fixed point.
 
-    Lloyd stops when assignments repeat or after 200 iterations; the polish
-    runs 40 compass rounds with initial step 1e-3 * n^(-1/4).  A fit that
+    Lloyd stops when assignments repeat or after 200 iterations.  Each step
+    labels the points by the linear discriminant
+    p . (c1 - c0) > (|c1|^2 - |c0|^2)/2 (``assign_clusters``) and takes
+    both cluster sums from one product labels @ points and the sample total
+    (``update_centers``).  The polish runs 40 compass rounds with initial
+    step 1e-3 * n^(-1/4), so no coordinate moves more than 40 times that
+    step.  The points are split once: a point whose margin |d1 - d0| exceeds
+    what such moves can change keeps its center and enters every candidate
+    value through per-center sums; only the band of the others, about
+    0.1 n^(3/4) points, is evaluated point by point (``_Band``).  A fit that
     wanders more than Hausdorff distance 1/2 from its start is flagged but
-    still returned.
+    still returned.  Non-finite points are rejected with ``ValueError``.
     """
     points = np.asarray(sample, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -181,20 +284,12 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
     n = points.shape[0]
     if n < 4:
         raise ValueError("need at least four points")
+    if not np.isfinite(points).all():
+        raise ValueError("sample contains non-finite values")
     if init not in INIT_CENTERS:
         raise ValueError(f"init must be 'cv' or 'ch', got {init!r}")
 
-    centers = INIT_CENTERS[init].copy()
-    labels = assign_clusters(points, centers)
-    repaired = False
-    for _ in range(200):
-        centers, rep = update_centers(points, labels, centers)
-        repaired = repaired or rep
-        new_labels = assign_clusters(points, centers)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
+    centers, repaired = _lloyd(points, init)
     centers, w = _pattern_search(points, centers, step=1e-3 * n ** -0.25)
     centers = _order_centers(centers, init)
     delta_s, eps_d, delta_d, eps_s = _coords_from_centers(centers, init)

@@ -35,6 +35,9 @@ def fit_shorth(sample: np.ndarray) -> ShorthFit:
     if n < 2:
         raise ValueError("need at least two observations")
     xs = np.sort(x)
+    # np.sort puts -inf first and inf and NaN last, so the ends show them
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        raise ValueError("sample contains non-finite values")
     k = (n + 1) // 2  # ceil(n/2)
     widths = xs[k - 1 :] - xs[: n - k + 1]
     i = int(np.argmin(widths))  # argmin returns the first minimizer: leftmost

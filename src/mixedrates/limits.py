@@ -4,7 +4,7 @@ Four laws are shipped: the argmax of a drifted two-sided Brownian motion
 (the cube-root limit of the shorth center), the shorth half-length law with
 its n^(-1/6) term from the maximum of that same motion, the Gaussian limit of
 the first penalized-regression coefficient, and the two-stage (s*, t*) limit
-of the mixed-rates k-means solution.
+of the mixed-rates k-means solution, whose two stages have closed forms.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "sample_kmeans_limit",
     "psi_slow",
     "slow_block_objective",
+    "slow_block_closed_form",
 ]
 
 logger = logging.getLogger(__name__)
@@ -305,83 +306,39 @@ def slow_block_objective(delta_s, eps_d, z1):
     return psi_slow(delta_s, eps_d) + delta_s * z1[0] + eps_d * z1[1]
 
 
-def _grid_min_slow(z1, lo, hi, points=201):
-    gx = np.linspace(lo[0], hi[0], points)
-    gy = np.linspace(lo[1], hi[1], points)
-    DS, ED = np.meshgrid(gx, gy, indexing="ij")
-    vals = slow_block_objective(DS, ED, z1)
-    flat = np.argmin(vals)
-    m = vals.reshape(-1)[flat]
-    ties = np.flatnonzero(vals.reshape(-1) == m)
-    if len(ties) > 1:
-        # break toward the origin, then lexicographically
-        pts = np.column_stack([DS.reshape(-1)[ties], ED.reshape(-1)[ties]])
-        key = np.lexsort((pts[:, 1], pts[:, 0], np.hypot(pts[:, 0], pts[:, 1])))
-        flat = ties[key[0]]
-    i, j = np.unravel_index(flat, vals.shape)
-    cells = np.array([gx[1] - gx[0], gy[1] - gy[0]])
-    return np.array([gx[i], gy[j]]), cells
-
-
-def _polish_slow(s, z1, step, rounds=60):
-    best = float(slow_block_objective(s[0], s[1], z1))
-    cur = s.copy()
-    for _ in range(rounds):
-        moved = False
-        for idx in (0, 1):
-            for sign in (1.0, -1.0):
-                cand = cur.copy()
-                cand[idx] += sign * step
-                val = float(slow_block_objective(cand[0], cand[1], z1))
-                if val < best:
-                    cur, best, moved = cand, val, True
-        if not moved:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return cur
-
-
-def _solve_slow_block(z1: np.ndarray) -> np.ndarray:
-    """Minimize the slow-block objective by coarse grid, two refinements and
-    a compass polish; the box is doubled (at most twice) if the incumbent
-    touches its edge."""
-    L = 4.0 * math.sqrt(np.linalg.norm(z1)) + 1e-12
-    for _ in range(3):
-        lo = np.array([-L, -L])
-        hi = np.array([L, L])
-        s, cells = _grid_min_slow(z1, lo, hi)
-        for _ in range(2):
-            rlo = np.maximum(lo, s - 2.5 * cells)
-            rhi = np.minimum(hi, s + 2.5 * cells)
-            s, cells = _grid_min_slow(z1, rlo, rhi)
-        if np.all(np.abs(s) < L - 2.0 * cells.max()):
-            return _polish_slow(s, z1, step=float(cells.max()))
-        L *= 2.0
-    raise RuntimeError("slow-block argmin kept escaping the search box")
+def slow_block_closed_form(z1: np.ndarray) -> np.ndarray:
+    """Minimizer of the slow-block objective, for one z1 or a stack of them
+    in the last axis.  Rotated by 45 degrees (u = delta_s + eps_d,
+    v = delta_s - eps_d) the objective is |u|^3/6 + u*z_u + |v|^3/6 + v*z_v
+    with z_u = (Z_ds + Z_ed)/2 and z_v = (Z_ds - Z_ed)/2, minimized at
+    u = -sign(z_u) sqrt(2|z_u|) and likewise for v."""
+    z1 = np.asarray(z1, dtype=np.float64)
+    z_u = (z1[..., 0] + z1[..., 1]) / 2.0
+    z_v = (z1[..., 0] - z1[..., 1]) / 2.0
+    u = -np.sign(z_u) * np.sqrt(2.0 * np.abs(z_u))
+    v = -np.sign(z_v) * np.sqrt(2.0 * np.abs(z_v))
+    return np.stack([(u + v) / 2.0, (u - v) / 2.0], axis=-1)
 
 
 def fast_block_closed_form(s_star: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Given the slow block, the fast block minimizes a clean quadratic:
-    delta_d* = -(Z_dd + delta_s^2 - eps_d^2)/2, eps_s* = -(Z_es + 2*delta_s*eps_d)/2."""
-    ds, ed = s_star
-    return np.array([-(z2[0] + ds * ds - ed * ed) / 2.0, -(z2[1] + 2.0 * ds * ed) / 2.0])
+    delta_d* = -(Z_dd + delta_s^2 - eps_d^2)/2, eps_s* = -(Z_es + 2*delta_s*eps_d)/2.
+    Stacks of pairs in the last axis are solved elementwise."""
+    ds, ed = s_star[..., 0], s_star[..., 1]
+    return np.stack(
+        [-(z2[..., 0] + ds * ds - ed * ed) / 2.0, -(z2[..., 1] + 2.0 * ds * ed) / 2.0], axis=-1
+    )
 
 
 def sample_kmeans_limit(
     inputs: KmeansLimitInputs, stream: SeedStream, draws: int
 ) -> np.ndarray:
-    """Draws of the two-stage limit (s*, t*): per draw, sample (Z1, Z2) from
-    N(0, Sigma), grid-minimize the cubic slow-block objective, then complete
-    the square for the fast block.
+    """Draws of the two-stage limit (s*, t*): sample (Z1, Z2) from
+    N(0, Sigma), minimize the cubic slow-block objective in closed form, then
+    complete the square for the fast block.
 
     Returns a (draws, 4) array with columns (delta_s, eps_d, delta_d, eps_s).
     """
     z = sample_gaussian_vector(inputs.Sigma, stream, draws=draws)
-    out = np.empty((draws, 4))
-    for i in range(draws):
-        s = _solve_slow_block(z[i, :2])
-        t = fast_block_closed_form(s, z[i, 2:])
-        out[i, :2] = s
-        out[i, 2:] = t
-    return out
+    s = slow_block_closed_form(z[:, :2])
+    return np.hstack([s, fast_block_closed_form(s, z[:, 2:])])

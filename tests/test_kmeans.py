@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixedrates.distributions import SeedStream
+from mixedrates.estimators import kmeans
 from mixedrates.estimators import (
     INIT_CENTERS,
     assign_clusters,
@@ -12,9 +13,48 @@ from mixedrates.estimators import (
     update_centers,
     within_ss,
 )
+from mixedrates.harness import _replicate_stream
 from mixedrates.limits import kmeans_two_line_sample
 
 SYMMETRIC4 = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def full_pattern_search(points, centers, step, rounds=40):
+    """Reference compass search: every candidate is a pass over the whole
+    sample.  Returns (centers, value, index of the last round that moved)."""
+    d = [np.sum((points - centers[j]) ** 2, axis=1) for j in (0, 1)]
+    best = float(np.minimum(d[0], d[1]).mean())
+    cur = centers.copy()
+    last_move = None
+    for rnd in range(rounds):
+        best_move, best_val = None, best
+        noise = 1e-12 * (1.0 + abs(best))
+        for j in (0, 1):
+            for k in (0, 1):
+                resid = points[:, k] - cur[j, k]
+                for sign in (1.0, -1.0):
+                    delta = sign * step
+                    dj = d[j] - 2.0 * delta * resid + delta * delta
+                    val = float(np.minimum(dj, d[1 - j]).mean())
+                    if val < best_val - noise:
+                        best_move, best_val = (j, k, delta), val
+        if best_move is None:
+            step *= 0.5
+        else:
+            j, k, delta = best_move
+            cur[j, k] += delta
+            d[j] = np.sum((points - cur[j]) ** 2, axis=1)
+            best = best_val
+            last_move = rnd
+    return cur, best, last_move
+
+
+def lloyd_centers(points, init):
+    return kmeans._lloyd(points, init)[0]
+
+
+def polish_step(n):
+    return 1e-3 * n**-0.25
 
 
 class TestSymmetricFixedPoint:
@@ -58,14 +98,7 @@ class TestLloydMechanics:
 
     def test_polish_never_above_lloyd_value(self):
         pts = kmeans_two_line_sample(3000, SeedStream(21, 1))
-        centers = INIT_CENTERS["cv"].copy()
-        labels = assign_clusters(pts, centers)
-        for _ in range(200):
-            centers, _ = update_centers(pts, labels, centers)
-            new_labels = assign_clusters(pts, centers)
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
+        centers = lloyd_centers(pts, "cv")
         lloyd_value = within_ss(pts, centers)
         fit = fit_kmeans2(pts, "cv")
         assert fit.w_value <= lloyd_value + 1e-12
@@ -82,6 +115,108 @@ class TestLloydMechanics:
             fit_kmeans2(SYMMETRIC4[:3], "cv")
         with pytest.raises(ValueError):
             fit_kmeans2(SYMMETRIC4, "diagonal")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        pts = kmeans_two_line_sample(100, SeedStream(21, 2))
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_kmeans2(pts, "cv")
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_kmeans2_global(pts)
+
+
+class TestKernels:
+    def test_discriminant_labels_match_distance_comparison(self):
+        gen = SeedStream(27, 0).generator()
+        for _ in range(20):
+            pts = gen.normal(0.0, 2.0, size=(5000, 2))
+            centers = gen.normal(0.0, 1.0, size=(2, 2))
+            d0 = np.sum((pts - centers[0]) ** 2, axis=1)
+            d1 = np.sum((pts - centers[1]) ** 2, axis=1)
+            assert np.array_equal(assign_clusters(pts, centers), (d1 < d0).astype(np.int8))
+
+    @pytest.mark.parametrize(
+        "centers, ties",
+        [
+            ([[0.0, 0.0], [2.0, 0.0]], [[1.0, -3.0], [1.0, 0.0], [1.0, 0.5], [1.0, 7.25]]),
+            ([[-1.5, 0.25], [0.5, 0.25]], [[-0.5, -2.0], [-0.5, 0.25], [-0.5, 9.5]]),
+            ([[0.0, 0.0], [1.0, 1.0]], [[0.25, 0.75], [2.0, -1.0], [-3.5, 4.5]]),
+        ],
+    )
+    def test_exact_ties_go_to_first_center(self, centers, ties):
+        centers = np.array(centers)
+        ties = np.array(ties)
+        d0 = np.sum((ties - centers[0]) ** 2, axis=1)
+        d1 = np.sum((ties - centers[1]) ** 2, axis=1)
+        assert np.array_equal(d0, d1)
+        assert assign_clusters(ties, centers).tolist() == [0] * len(ties)
+        assert assign_clusters(ties, centers[::-1]).tolist() == [0] * len(ties)
+
+    def test_update_matches_masked_means(self):
+        pts = kmeans_two_line_sample(3000, SeedStream(27, 1))
+        centers = np.array([[-0.9, 0.1], [1.1, -0.05]])
+        labels = assign_clusters(pts, centers)
+        new, repaired = update_centers(pts, labels, centers)
+        assert not repaired
+        for j in (0, 1):
+            assert np.allclose(new[j], pts[labels == j].mean(axis=0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1000, 4000, 16000])
+    def test_band_candidate_values_match_full_criterion(self, n):
+        # centers within the search radius, the candidate moves included:
+        # random offsets and the corners of the box
+        pts = kmeans_two_line_sample(n, SeedStream(27, 2 + n))
+        gen = SeedStream(27, 3 + n).generator()
+        for init in ("cv", "ch"):
+            start = lloyd_centers(pts, init)
+            step0 = polish_step(n)
+            radius = 40 * step0
+            band = kmeans._Band(pts, start, radius)
+            assert band.value == within_ss(pts, start)
+            for trial in range(12):
+                step = step0 * 0.5 ** gen.integers(0, 6)
+                reach = radius - step
+                if trial < 4:
+                    offset = reach * gen.choice([-1.0, 1.0], size=(2, 2))
+                else:
+                    offset = gen.uniform(-reach, reach, size=(2, 2))
+                cur = start + offset
+                band.move_to(cur)
+                got = band.candidate_values(step)
+                for j in (0, 1):
+                    for k in (0, 1):
+                        for s, delta in enumerate((step, -step)):
+                            moved = cur.copy()
+                            moved[j, k] += delta
+                            want = within_ss(pts, moved)
+                            assert got[j, k, s] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_band_search_matches_full_search(self):
+        cells = [(n, r) for n in (1000, 2000, 4000, 8000, 16000) for r in range(10)]
+        for n, r in cells:
+            pts = kmeans_two_line_sample(n, SeedStream(28, r))
+            for init in ("cv", "ch"):
+                start = lloyd_centers(pts, init)
+                got, got_val = kmeans._pattern_search(pts, start, polish_step(n))
+                want, want_val, _ = full_pattern_search(pts, start, polish_step(n))
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, r", [(16000, 22), (16000, 51), (1000, 32)])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -2e3), (-5e4, 3e4)])
+    def test_band_search_matches_full_search_moving_in_last_round(self, n, r, offset):
+        # the offsets put the sample far from the origin, where per-center
+        # sums taken about the origin would cancel
+        offset = np.array(offset)
+        pts = kmeans_two_line_sample(n, _replicate_stream(1729, "kmeans", n, r, "data"))
+        start = lloyd_centers(pts, "cv") + offset
+        pts = pts + offset
+        want, want_val, last_move = full_pattern_search(pts, start, polish_step(n))
+        assert last_move == 39
+        got, got_val = kmeans._pattern_search(pts, start, polish_step(n))
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(offset)))
+        assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
 
 
 class TestCoordinateTransform:

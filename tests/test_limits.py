@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from mixedrates.distributions import CovMatrix, SeedStream
+from mixedrates.distributions import CovMatrix, SeedStream, sample_gaussian_vector
 from mixedrates.estimators import shorth_population
 from mixedrates.harness import ks_two_sample
 from mixedrates.limits import (
@@ -14,7 +14,6 @@ from mixedrates.limits import (
     LinearizationGateError,
     _chernoff_argmax_and_max,
     _linearization_gate,
-    _solve_slow_block,
     empirical_criterion_diff,
     estimate_kmeans_cov,
     fast_block_closed_form,
@@ -24,8 +23,65 @@ from mixedrates.limits import (
     sample_kmeans_limit,
     sample_lasso_limits,
     sample_shorth_r_limit,
+    slow_block_closed_form,
     slow_block_objective,
 )
+
+
+def _grid_min_slow(z1, lo, hi, points=201):
+    gx = np.linspace(lo[0], hi[0], points)
+    gy = np.linspace(lo[1], hi[1], points)
+    DS, ED = np.meshgrid(gx, gy, indexing="ij")
+    vals = slow_block_objective(DS, ED, z1)
+    flat = np.argmin(vals)
+    m = vals.reshape(-1)[flat]
+    ties = np.flatnonzero(vals.reshape(-1) == m)
+    if len(ties) > 1:
+        # break toward the origin, then lexicographically
+        pts = np.column_stack([DS.reshape(-1)[ties], ED.reshape(-1)[ties]])
+        key = np.lexsort((pts[:, 1], pts[:, 0], np.hypot(pts[:, 0], pts[:, 1])))
+        flat = ties[key[0]]
+    i, j = np.unravel_index(flat, vals.shape)
+    cells = np.array([gx[1] - gx[0], gy[1] - gy[0]])
+    return np.array([gx[i], gy[j]]), cells
+
+
+def _polish_slow(s, z1, step, rounds=60):
+    best = float(slow_block_objective(s[0], s[1], z1))
+    cur = s.copy()
+    for _ in range(rounds):
+        moved = False
+        for idx in (0, 1):
+            for sign in (1.0, -1.0):
+                cand = cur.copy()
+                cand[idx] += sign * step
+                val = float(slow_block_objective(cand[0], cand[1], z1))
+                if val < best:
+                    cur, best, moved = cand, val, True
+        if not moved:
+            step *= 0.5
+            if step < 1e-9:
+                break
+    return cur
+
+
+def grid_solve_slow_block(z1):
+    """Oracle for the slow block: coarse grid, two refinements and a compass
+    polish, the box doubled (at most twice) while the incumbent touches its
+    edge."""
+    L = 4.0 * math.sqrt(np.linalg.norm(z1)) + 1e-12
+    for _ in range(3):
+        lo = np.array([-L, -L])
+        hi = np.array([L, L])
+        s, cells = _grid_min_slow(z1, lo, hi)
+        for _ in range(2):
+            rlo = np.maximum(lo, s - 2.5 * cells)
+            rhi = np.minimum(hi, s + 2.5 * cells)
+            s, cells = _grid_min_slow(z1, rlo, rhi)
+        if np.all(np.abs(s) < L - 2.0 * cells.max()):
+            return _polish_slow(s, z1, step=float(cells.max()))
+        L *= 2.0
+    raise RuntimeError("slow-block argmin kept escaping the search box")
 
 
 class TestChernoffArgmax:
@@ -206,8 +262,8 @@ class TestKmeansScores:
 
 class TestKmeansLimit:
     def test_zero_z1_gives_zero_slow_block_and_half_z2(self):
-        s = _solve_slow_block(np.zeros(2))
-        assert np.allclose(s, 0.0, atol=1e-7)
+        s = slow_block_closed_form(np.zeros(2))
+        assert s.tolist() == [0.0, 0.0]
         t = fast_block_closed_form(np.zeros(2), np.array([3.0, -1.0]))
         assert t.tolist() == [-1.5, 0.5]
 
@@ -215,7 +271,7 @@ class TestKmeansLimit:
         gen = SeedStream(33, 0).generator()
         for _ in range(25):
             z1 = gen.normal(0.0, 2.0, size=2)
-            s = _solve_slow_block(z1)
+            s = slow_block_closed_form(z1)
             base = slow_block_objective(s[0], s[1], z1)
             for idx in (0, 1):
                 for sign in (1.0, -1.0):
@@ -258,24 +314,30 @@ class TestKmeansLimit:
             assert np.max(np.abs(closed - res.x)) <= 1e-8
 
     def test_slow_block_matches_separable_closed_form(self):
-        # rotate 45 degrees: the objective splits into |u|^3/6 + u*zu terms
-        # with minimizer u = -sign(zu) * sqrt(2 |zu|)
+        # rotated 45 degrees the objective splits into |u|^3/6 + u*zu terms;
+        # the grid solver knows nothing of that
         gen = SeedStream(33, 2).generator()
         for _ in range(40):
             z1 = gen.normal(0.0, 2.0, size=2)
-            zu, zv = (z1[0] + z1[1]) / 2.0, (z1[0] - z1[1]) / 2.0
-            u = -math.copysign(math.sqrt(2.0 * abs(zu)), zu)
-            v = -math.copysign(math.sqrt(2.0 * abs(zv)), zv)
-            expected = np.array([(u + v) / 2.0, (u - v) / 2.0])
-            assert np.allclose(_solve_slow_block(z1), expected, atol=2e-5)
+            expected = grid_solve_slow_block(z1)
+            assert np.allclose(slow_block_closed_form(z1), expected, rtol=0, atol=1e-6)
 
     def test_sign_symmetry(self):
         z1 = np.array([1.3, -0.7])
-        s = _solve_slow_block(z1)
-        s_flip0 = _solve_slow_block(np.array([-z1[0], z1[1]]))
-        assert np.allclose(s_flip0, [-s[0], s[1]], atol=5e-6)
-        s_flip1 = _solve_slow_block(np.array([z1[0], -z1[1]]))
-        assert np.allclose(s_flip1, [s[0], -s[1]], atol=5e-6)
+        s = slow_block_closed_form(z1)
+        s_flip0 = slow_block_closed_form(np.array([-z1[0], z1[1]]))
+        assert np.allclose(s_flip0, [-s[0], s[1]], rtol=0, atol=1e-15)
+        s_flip1 = slow_block_closed_form(np.array([z1[0], -z1[1]]))
+        assert np.allclose(s_flip1, [s[0], -s[1]], rtol=0, atol=1e-15)
+
+    def test_draws_match_per_draw_grid_oracle(self):
+        inputs = KmeansLimitInputs(Sigma=CovMatrix(4.0 * np.eye(4)))
+        draws = sample_kmeans_limit(inputs, SeedStream(33, 5), 60)
+        z = sample_gaussian_vector(inputs.Sigma, SeedStream(33, 5), draws=60)
+        for d, zi in zip(draws, z):
+            s = grid_solve_slow_block(zi[:2])
+            assert np.allclose(d[:2], s, rtol=0, atol=1e-6)
+            assert np.allclose(d[2:], fast_block_closed_form(s, zi[2:]), rtol=0, atol=1e-6)
 
     def test_draws_shape_and_determinism(self):
         inputs = KmeansLimitInputs(Sigma=CovMatrix(4.0 * np.eye(4)))

@@ -39,6 +39,13 @@ class TestFitShorth:
         with pytest.raises(ValueError):
             fit_shorth(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.array([0.0, 1.0, 3.0, 10.0, 2.0])
+        x[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_shorth(x)
+
     def test_interval_covers_half(self):
         x = SeedStream(1, 0).generator().standard_normal(501)
         fit = fit_shorth(x)
