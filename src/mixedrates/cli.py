@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_lim.add_argument("--horizon", type=float, help="grid horizon T (default: auto)")
-    p_lim.add_argument("--step", type=float, help="grid step h (default: T/4000)")
+    p_lim.add_argument("--step", type=float, help="grid step h (default: T/1000)")
     p_lim.add_argument("--c11", type=float, default=1.0 / 3.0, help="design curvature")
     p_lim.add_argument("--lambda0", type=float, default=2.0)
     p_lim.add_argument("--sigma", type=float, default=1.0)
@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier_group.add_argument("--quick", action="store_true", help="reduced-scale tier (default)")
     tier_group.add_argument(
         "--full", action="store_true",
-        help="binding thresholds, ~70 s at --threads 2 on 2 cores",
+        help="binding thresholds, ~60 s at --threads 2 on 2 cores",
     )
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--threads", type=int, default=1)

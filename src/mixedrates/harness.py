@@ -18,7 +18,9 @@ import numpy as np
 
 from .distributions import SeedStream, derive_stream_index
 from .estimators import (
+    DesignError,
     LassoConfig,
+    SearchBoxError,
     fit_bridge_lasso,
     fit_kmeans2,
     fit_kmeans2_global,
@@ -26,7 +28,7 @@ from .estimators import (
     generate_lasso_design,
     shorth_population,
 )
-from .limits import kmeans_two_line_sample
+from .limits import BoundaryHitError, LinearizationGateError, kmeans_two_line_sample
 from .rates import CoarseRateSpec, RateSpec, coarse_rates, derive_rates
 
 __all__ = [
@@ -210,10 +212,17 @@ _RUNNERS = {
 }
 
 
+# The declared numerical failures of a replicate.  Any other exception is a
+# programming error and propagates out of run_cells.
+_NUMERICAL_FAILURES = (DesignError, SearchBoxError, LinearizationGateError, BoundaryHitError)
+
+
 def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
     try:
         return _RUNNERS[experiment](params, master_seed, n, r)
-    except Exception as exc:  # recorded, not fatal; the run-level gate decides
+    except _NUMERICAL_FAILURES as exc:  # recorded, not fatal; the run-level gate decides
+        # one CSV field: no comma, no line break
+        message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
         return [
             LadderRecord(
                 experiment=experiment,
@@ -221,7 +230,7 @@ def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list
                 replicate=r,
                 component=c,
                 error=float("nan"),
-                diag_flags=f"failed:{type(exc).__name__}",
+                diag_flags=f"failed:{message}",
             )
             for c in _COMPONENTS[experiment]
         ]
@@ -238,8 +247,9 @@ def run_cells(
     """Execution core shared by ladders and single-n comparison runs.
 
     Every replicate is seeded from (master_seed, experiment, n, replicate),
-    so the output is independent of worker scheduling; estimator failures
-    become flagged records and abort the run only above a 1% rate.
+    so the output is independent of worker scheduling.  A declared numerical
+    failure (``_NUMERICAL_FAILURES``) becomes a flagged record and aborts the
+    run only above a 1% rate; any other exception aborts it at once.
     """
     merged = dict(_LASSO_DEFAULTS) if experiment == "lasso" else {}
     merged.update(params or {})

@@ -11,7 +11,10 @@ also reports KS against the first-order Gaussian -Z/c1 and against the
 Var Z = 1/2 Gaussian, both of which the simulated law rejects.
 """
 
+import math
 import os
+
+from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
 
@@ -96,3 +99,19 @@ def test_criterion_9_oracle_chernoff_scaling():
 def test_criterion_9_oracle_score_linearization():
     res = report(acc.check_oracle_linearization(TIER, SEED))
     assert res.passed, res.detail
+
+
+def test_criterion_9_oracle_chernoff_scaling_rejects_unit_factor(monkeypatch):
+    # a check that rescales by 1 instead of 2^(2/3) must fail
+    monkeypatch.setattr(acc, "chernoff_scale", lambda c1, c2: 1.0)
+    res = report(acc.check_oracle_chernoff_scaling(TIER, SEED))
+    assert res.measured["factor"] == 1.0
+    assert not res.passed, res.detail
+
+
+def test_shorth_r_ks_tolerance_above_null_99th_percentile():
+    # two-sample KS at R against R draws: the null's 99th percentile is
+    # 1.63 sqrt(2/R); every tier must size R so that it sits under the tolerance
+    for tier in acc.TIERS.values():
+        q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / tier.shorth_ks_replicates)
+        assert q99 < tier.shorth_r_ks_tol, tier.name

@@ -5,7 +5,10 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from mixedrates import harness
+from mixedrates.estimators import SearchBoxError
 from mixedrates.harness import (
+    HarnessError,
     LadderConfig,
     LadderRecord,
     fit_rate,
@@ -102,6 +105,46 @@ class TestRunLadder:
         fixed = run_cells("lasso", [120], 50, 9, {"design_mode": "fixed"})
         assert fresh[0].error == fixed[0].error  # replicate 0 shares everything
         assert any(a.error != b.error for a, b in zip(fresh[2:], fixed[2:]))
+
+
+class TestReplicateFailures:
+    """run_cells tolerates the declared numerical failures under a 1% gate
+    and lets every other exception through."""
+
+    @staticmethod
+    def _runner(exc, failing):
+        real = harness._RUNNERS["shorth"]
+
+        def run(params, master_seed, n, r):
+            if r in failing:
+                raise exc
+            return real(params, master_seed, n, r)
+
+        return run
+
+    def test_programming_error_aborts_run(self, monkeypatch):
+        runner = self._runner(TypeError("unsupported operand"), {7})
+        monkeypatch.setitem(harness._RUNNERS, "shorth", runner)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_cells("shorth", [100, 200], 100, 5, workers=1)
+
+    def test_numerical_failure_is_flagged_and_tolerated(self, monkeypatch):
+        exc = SearchBoxError("hit the box, twice\nat n = 100")
+        monkeypatch.setitem(harness._RUNNERS, "shorth", self._runner(exc, {7}))
+        recs = run_cells("shorth", [100, 200], 100, 5, workers=1)
+        failed = [rec for rec in recs if rec.diag_flags.startswith("failed:")]
+        assert [(rec.n, rec.replicate) for rec in failed] == [(100, 7), (100, 7), (200, 7), (200, 7)]
+        assert failed[0].diag_flags == "failed:SearchBoxError: hit the box; twice at n = 100"
+        assert all(math.isnan(rec.error) for rec in failed)
+        lines = records_to_csv_lines(recs)
+        assert len(lines) == 1 + len(recs)
+        assert all(line.count(",") == 8 for line in lines)
+
+    def test_numerical_failures_above_gate_raise(self, monkeypatch):
+        exc = SearchBoxError("hit the box")
+        monkeypatch.setitem(harness._RUNNERS, "shorth", self._runner(exc, {7, 8}))
+        with pytest.raises(HarnessError, match="4 of 200 replicates failed"):
+            run_cells("shorth", [100, 200], 100, 5, workers=1)
 
 
 class TestFitRate:

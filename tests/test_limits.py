@@ -1,19 +1,31 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.optimize import minimize
+from scipy.special import airy
+from scipy.stats import kstwobign
 
-from mixedrates.distributions import CovMatrix, SeedStream, sample_gaussian_vector
+from mixedrates.distributions import (
+    CovMatrix,
+    SeedStream,
+    _two_sided_values,
+    _validate_grid,
+    sample_gaussian_vector,
+)
 from mixedrates.estimators import shorth_population
 from mixedrates.harness import ks_two_sample
 from mixedrates.limits import (
+    GRID_MAX_SHIFT,
     BoundaryHitError,
     ChernoffConfig,
     KmeansLimitInputs,
     LinearizationGateError,
     _chernoff_argmax_and_max,
     _linearization_gate,
+    chernoff_scale,
     empirical_criterion_diff,
     estimate_kmeans_cov,
     fast_block_closed_form,
@@ -84,6 +96,61 @@ def grid_solve_slow_block(z1):
     raise RuntimeError("slow-block argmin kept escaping the search box")
 
 
+def lexsort_argmax_and_max(cfg, stream):
+    """Reference for the sampler's kernel: each chunk of paths as one
+    (m, 2n+1) matrix, permuted into increasing-|t| order with negative t
+    first, so that np.argmax's first-maximum rule is the tie rule."""
+    n = _validate_grid(cfg.T, cfg.h)
+    gen = stream.generator()
+    t_grid = (np.arange(2 * n + 1) - n) * cfg.h
+    perm = np.lexsort((t_grid, np.abs(t_grid)))
+    t_perm, drift_perm = t_grid[perm], cfg.c2 * t_grid[perm] ** 2
+    argmax, maximum = [], []
+    for start in range(0, cfg.paths, 512):
+        m = min(512, cfg.paths - start)
+        obj = _two_sided_values(gen, m, n, cfg.h)[:, perm] * math.sqrt(cfg.c1) + drift_perm
+        idx = np.argmax(obj, axis=1)
+        argmax.append(t_perm[idx])
+        maximum.append(obj[np.arange(m), idx])
+    return np.concatenate(argmax), np.concatenate(maximum)
+
+
+@functools.lru_cache(maxsize=1)
+def chernoff_law():
+    """Chernoff's density and CDF, argmax_t [B(t) - t^2], on z in [-4, 4].
+
+    The density is g(z) g(-z) / 2, where g has Fourier transform
+    2^(1/3) / Ai(i 2^(-1/3) lam) (Groeneboom, PTRF 1989; Groeneboom &
+    Wellner, JCGS 2001).  g is real, so it is the inverse transform over
+    lam >= 0, by the trapezoid rule; |1/Ai| decays like exp(-lam^(3/2)/3),
+    under 1e-22 at lam = 30.  The CDF is the cumulative Simpson integral of
+    the density.  Halving either step moves the CDF by less than 1e-11.
+    """
+    lam = np.arange(0.0, 30.0 + 1e-9, 0.05)
+    weights = np.full(lam.size, 0.05)
+    weights[0] = 0.025
+    ghat = 2.0 ** (1.0 / 3.0) / airy(1j * 2.0 ** (-1.0 / 3.0) * lam)[0]
+    z = np.linspace(-4.0, 4.0, 4001)
+    g = (np.exp(-1j * np.outer(z, lam)) @ (weights * ghat)).real / np.pi
+    density = 0.5 * g * g[::-1]
+    return z, density, cumulative_simpson(density, x=z, initial=0.0)
+
+
+def ks_one_sample_chernoff(draws):
+    """sup_x |ECDF(x) - F(x)| against Chernoff's CDF F."""
+    z, _, cdf = chernoff_law()
+    x = np.sort(draws)
+    F = np.interp(x, z, cdf)
+    i = np.arange(1, x.size + 1)
+    return float(max(np.max(i / x.size - F), np.max(F - (i - 1) / x.size)))
+
+
+def ks_null_quantile(q, n):
+    """Asymptotic q-quantile of the one-sample KS statistic at n draws; for
+    two samples of n1 and n2 draws, n = n1 n2 / (n1 + n2)."""
+    return float(kstwobign.ppf(q)) / math.sqrt(n)
+
+
 class TestChernoffArgmax:
     def test_strong_drift_pins_argmax_at_origin(self):
         cfg = ChernoffConfig(c1=1.0, c2=-1e6, T=1.0, h=1.0 / 4000, paths=2000)
@@ -107,12 +174,55 @@ class TestChernoffArgmax:
         d3 = sample_chernoff_argmax(ChernoffConfig(1.0, -2.0, paths=10_000), SeedStream(30, 5))
         assert ks_two_sample(d3 * 2.0 ** (2.0 / 3.0), d1) <= 0.03
 
-    def test_grid_halving_changes_little(self):
-        base = ChernoffConfig(1.0, -1.0, paths=10_000)
-        fine = ChernoffConfig(1.0, -1.0, T=base.T, h=base.h / 2.0, paths=10_000)
-        a = sample_chernoff_argmax(base, SeedStream(30, 6))
-        b = sample_chernoff_argmax(fine, SeedStream(30, 7))
-        assert ks_two_sample(a, b) <= 0.02
+    def test_matches_exact_chernoff_cdf(self):
+        # one-sample KS against the Airy-function law, for the unit
+        # parameters and for the shorth population in units of its scale;
+        # the bound is the null's 99.9th percentile plus one lattice mass
+        # f(0) h/a of the default grid
+        pop = shorth_population()
+        tol = ks_null_quantile(0.999, 10_000) + 0.758 * 4.0 / 1000.0
+        for k, (c1, c2) in enumerate(((1.0, -1.0), (pop.c1, pop.c2))):
+            d = sample_chernoff_argmax(ChernoffConfig(c1, c2, paths=10_000), SeedStream(30, 10 + k))
+            d /= chernoff_scale(c1, c2)
+            assert ks_one_sample_chernoff(d) <= tol
+            # the same statistic rejects a law 15% too wide
+            assert ks_one_sample_chernoff(1.15 * d) > tol
+
+    def test_variance_matches_chernoff(self):
+        # Var = 0.26356 (Groeneboom & Wellner 2001), within 5 Monte Carlo
+        # standard errors from the fourth central moment
+        d = sample_chernoff_argmax(ChernoffConfig(1.0, -1.0, paths=10_000), SeedStream(30, 12))
+        c = d - d.mean()
+        var = float(np.mean(c**2))
+        se = math.sqrt((np.mean(c**4) - var**2) / d.size)
+        assert abs(var - 0.26356) <= 5.0 * se
+
+    def test_exact_law_oracle(self):
+        z, density, cdf = chernoff_law()
+        dz = z[1] - z[0]
+        assert abs(cdf[-1] - 1.0) < 1e-9
+        assert abs(np.sum(z * density) * dz) < 1e-12
+        assert abs(np.sum(z * z * density) * dz - 0.2635596) < 1e-6
+        assert abs(density[2000] - 0.7583) < 1e-4
+
+    @pytest.mark.parametrize(
+        "c1, c2, T, h",
+        [
+            (1.0, -1.0, 4.0, 0.001),
+            (shorth_population().c1, shorth_population().c2, 10.0, 0.0025),
+            (4.0, -2.0, 4.0, 0.004),
+            (2.0, -0.5, 8.0, 0.01),
+            (1.0, -1e6, 1.0, 1.0 / 4000),
+        ],
+    )
+    def test_kernel_matches_lexsort_reference(self, c1, c2, T, h):
+        # 600 paths span two 512-path chunks; the last case pins every
+        # argmax at the origin
+        cfg = ChernoffConfig(c1, c2, T=T, h=h, paths=600)
+        t, s = _chernoff_argmax_and_max(cfg, SeedStream(34, 0))
+        t_ref, s_ref = lexsort_argmax_and_max(cfg, SeedStream(34, 0))
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(s, s_ref)
 
     def test_boundary_hits_raise(self):
         cfg = ChernoffConfig(c1=1.0, c2=-0.001, T=1.0, h=0.01, paths=500)
@@ -168,15 +278,31 @@ class TestShorthRLimit:
             assert np.mean(np.isclose(t, a * t1, rtol=1e-9, atol=0.0)) > 0.99
 
     def test_draws_decompose_into_z_and_max(self):
-        # -(Z + n^(-1/6) S)/c1: two sample sizes on the same streams differ
-        # by exactly (n2^(-1/6) - n1^(-1/6)) S / c1
+        # -(Z + n^(-1/6) S)/c1 with S the grid maximum plus the shift: two
+        # sample sizes on the same streams differ by exactly
+        # (n2^(-1/6) - n1^(-1/6)) S / c1
         cfg = self._cfg(paths=600)
         z_stream, s_stream = SeedStream(33, 3), SeedStream(33, 4)
         d1 = sample_shorth_r_limit(cfg, 1000, z_stream, s_stream)
         d2 = sample_shorth_r_limit(cfg, 64000, z_stream, s_stream)
         _, s = _chernoff_argmax_and_max(cfg, s_stream)
+        s = s + GRID_MAX_SHIFT * math.sqrt(cfg.c1 * cfg.h)
         gap = (64000 ** (-1.0 / 6.0) - 1000 ** (-1.0 / 6.0)) * s / cfg.c1
         assert np.allclose(d1 - d2, gap, rtol=0.0, atol=1e-12)
+
+    def test_shifted_max_agrees_across_grids(self):
+        # with the shift the maximum has one law at h = T/4000, T/1000 and
+        # T/250 (two-sample KS under the null's 99.9th percentile); without
+        # it the T/4000 and T/250 maxima differ beyond that percentile
+        raw, shifted = {}, {}
+        for steps, paths in ((4000, 5000), (1000, 10_000), (250, 10_000)):
+            cfg = ChernoffConfig(1.0, -1.0, T=4.0, h=4.0 / steps, paths=paths)
+            raw[steps] = _chernoff_argmax_and_max(cfg, SeedStream(33, 9 + steps))[1]
+            shifted[steps] = raw[steps] + GRID_MAX_SHIFT * math.sqrt(cfg.h)
+        tol = ks_null_quantile(0.999, 5000 * 10_000 / 15_000)
+        assert ks_two_sample(shifted[4000], shifted[1000]) <= tol
+        assert ks_two_sample(shifted[4000], shifted[250]) <= tol
+        assert ks_two_sample(raw[4000], raw[250]) > tol
 
     def test_tends_to_first_order_law(self):
         cfg = self._cfg()
