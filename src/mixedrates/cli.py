@@ -20,14 +20,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, TIERS, run_all
-from .distributions import (
-    SeedStream,
-    derive_stream_index,
-    sample_brownian_path,
-    sample_laplace,
-    sample_two_line,
-)
-from .estimators import shorth_population
+from .distributions import SeedStream, sample_two_line
 from .harness import (
     EXPERIMENTS,
     HarnessError,
@@ -36,8 +29,6 @@ from .harness import (
     ks_two_sample,
     records_to_csv_lines,
     run_ladder,
-    theoretical_rates,
-    zero_fraction,
 )
 from .limits import (
     ChernoffConfig,
@@ -162,36 +153,13 @@ def _cmd_rates(args) -> int:
 # subcommand: simulate
 
 
-def _limit_draws_for(experiment: str, component: str, params, master_seed: int, draws: int,
-                     kmeans_cov=None):
-    """Reference-law draws for the KS comparison of one component, or None.
-    ``kmeans_cov`` is the k-means score covariance, estimated once per run."""
-    stream = SeedStream(master_seed, derive_stream_index("limit", experiment, component))
-    if experiment == "lasso" and component == "alpha1":
-        return sample_lasso_limits(1.0 / 3.0, params["lambda0"], params["sigma"], stream, draws)
-    if experiment == "shorth":
-        pop = shorth_population()
-        if component == "r":
-            # first-order limit: Gaussian with sd (1/2)/c1 (variance of the
-            # half-coverage indicator is 1/4); the acceptance check adds the
-            # n^(-1/6) term of sample_shorth_r_limit
-            return stream.generator().normal(0.0, 0.5 / pop.c1, draws)
-        return sample_chernoff_argmax(
-            ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=draws), stream
-        )
-    if experiment == "kmeans":
-        cols = {"delta_s": 0, "eps_d": 1, "delta_d": 2, "eps_s": 3}
-        return sample_kmeans_limit(kmeans_cov, stream, draws)[:, cols[component]]
-    return None
-
-
 def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> tuple[dict, dict]:
     """Summary statistics plus plot-ready arrays.
 
     Returns (summary dict, plotdata dict of name -> list of rows).
     """
+    exp = EXPERIMENTS[cfg.experiment]
     top_n = cfg.n_values[-1]
-    exponents = theoretical_rates(cfg.experiment)
     summary: dict = {
         "experiment": cfg.experiment,
         "n_values": list(cfg.n_values),
@@ -203,72 +171,45 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
         "ks_vs_limit": {},
     }
     plotdata: dict = {}
+    extras, collapsed = exp.summaries(records, cfg.n_values)
+    summary.update(_jsonable(extras))
+    # run_cells returns one record per component and replicate
+    limits = exp.limit_draws(cfg.params, cfg.master_seed, cfg.replicates)
 
-    collapsed = set()
-    kmeans_cov = None
-    if cfg.experiment == "kmeans":
-        cov_stream = SeedStream(cfg.master_seed, derive_stream_index("limit", "kmeans", "cov"))
-        kmeans_cov = estimate_kmeans_cov(1_000_000, cov_stream)
-    if cfg.experiment == "lasso":
-        fractions = {}
-        for n in cfg.n_values:
-            p, se = zero_fraction([r for r in records if r.n == n], "alpha2")
-            fractions[str(n)] = [_sig6(p), _sig6(se)]
-        summary["zero_fraction_alpha2"] = fractions
-        if fractions[str(top_n)][0] > 0.9:
-            collapsed.add("alpha2")
-
-    if cfg.experiment == "kmeans":
-        choices = [r.choice for r in records if r.n == top_n and r.component == "delta_s"]
-        frac = sum(c == "cv" for c in choices) / len(choices)
-        summary["split_fraction_cv"] = {
-            "n": top_n,
-            "fraction": _sig6(frac),
-            "se": _sig6(math.sqrt(frac * (1.0 - frac) / len(choices))),
-        }
-
-    for comp in cfg.components:
+    for comp, exponent in exp.rates.items():
         if comp in collapsed:
             summary["rates"][comp] = {"status": "collapsed to 0"}
-        else:
-            est = fit_rate(
-                records, comp, summary=summary_kind,
-                exclude_zero_flagged=(comp == "alpha2"),
-            )
-            summary["rates"][comp] = {
-                "slope": _sig6(est.slope),
-                "slope_se": _sig6(est.slope_se),
-                "intercept": _sig6(est.intercept),
-                "n_range": list(est.n_range),
-                "target": str(-exponents[comp]),
-            }
-            rows = [("log_n", "log_median_abs_error")]
-            for n in cfg.n_values:
-                errs = [abs(r.error) for r in records if r.n == n and r.component == comp]
-                med = float(np.median(errs))
-                if med > 0:
-                    rows.append((f"{math.log(n)!r}", f"{math.log(med)!r}"))
-            plotdata[f"{comp}_loglog"] = rows
+            continue
+        est = fit_rate(
+            records, comp, summary=summary_kind, exclude_zero_flagged=comp in exp.sparse
+        )
+        summary["rates"][comp] = {
+            "slope": _sig6(est.slope),
+            "slope_se": _sig6(est.slope_se),
+            "intercept": _sig6(est.intercept),
+            "n_range": list(est.n_range),
+            "target": str(-exponent),
+        }
+        rows = [("log_n", "log_median_abs_error")]
+        for n in cfg.n_values:
+            errs = [abs(r.error) for r in records if r.n == n and r.component == comp]
+            med = float(np.median(errs))
+            if med > 0:
+                rows.append((f"{math.log(n)!r}", f"{math.log(med)!r}"))
+        plotdata[f"{comp}_loglog"] = rows
 
         # distributional comparison at the top rung, rescaled by the
         # theoretical rate (never by the fitted slope)
-        errs = np.array(
-            [r.error for r in records if r.n == top_n and r.component == comp]
-        )
-        if comp in collapsed or errs.size == 0:
+        if comp not in limits:
             continue
-        scale = float(top_n) ** float(exponents[comp])
-        rescaled = scale * errs
-        draws = _limit_draws_for(
-            cfg.experiment, comp, cfg.params, cfg.master_seed, errs.size, kmeans_cov
-        )
-        if draws is None:
-            continue
+        errs = np.array([r.error for r in records if r.n == top_n and r.component == comp])
+        rescaled = float(top_n) ** float(exponent) * errs
+        draws = limits[comp]
         summary["ks_vs_limit"][comp] = {
             "n": top_n,
-            "rescale_exponent": str(exponents[comp]),
+            "rescale_exponent": str(exponent),
             "ks": _sig6(ks_two_sample(rescaled, draws)),
-            "empirical": errs.size,
+            "empirical": rescaled.size,
             "limit_draws": int(draws.size),
         }
         rows = [("kind", "value")]
@@ -309,7 +250,7 @@ def _cmd_simulate(args) -> int:
 
     experiment = settings.get("experiment")
     if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
     params = {
         k: settings[k]
         for k in ("lambda0", "gamma", "sigma", "d", "design_mode")
@@ -325,11 +266,6 @@ def _cmd_simulate(args) -> int:
     summary_kind = settings.get("summary", "median-abs")
     if summary_kind not in ("median-abs", "rmse"):
         raise ConfigError(f"summary must be 'median-abs' or 'rmse', got {summary_kind!r}")
-    if params.get("design_mode", "fresh") not in ("fresh", "fixed"):
-        raise ConfigError(f"design_mode must be 'fresh' or 'fixed', got {params['design_mode']!r}")
-    if experiment == "lasso" and params.get("d", 2) not in (2, 3):
-        # records hold alpha1 and alpha2, and the solver's grid caps d at 3
-        raise ConfigError(f"lasso d must be 2 or 3, got {params['d']!r}")
     threads = args.threads if args.threads is not None else int(settings.get("threads", 1))
     started = _utcnow()
     records = run_ladder(cfg, workers=threads)
@@ -370,7 +306,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_limit(args) -> int:
     stream = SeedStream(args.seed, args.stream_index)
     if args.dump_sample:
-        rows = _dump_sample_rows(args, stream)
+        pts = sample_two_line(args.draws, stream)
+        rows = [("index", "x", "y")] + [
+            (i, repr(float(x)), repr(float(y))) for i, (x, y) in enumerate(pts)
+        ]
     else:
         rows = _limit_rows(args, stream)
     text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
@@ -391,32 +330,12 @@ def _limit_rows(args, stream):
     if args.law == "lasso-first":
         draws = sample_lasso_limits(args.c11, args.lambda0, args.sigma, stream, args.draws)
         return [("index", "u")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
-    if args.law == "kmeans":
-        inputs = estimate_kmeans_cov(args.cov_samples, stream.child("cov"))
-        draws = sample_kmeans_limit(inputs, stream, args.draws)
-        rows = [("index", "delta_s", "eps_d", "delta_d", "eps_s")]
-        rows += [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(draws)]
-        return rows
-    raise ConfigError(f"unknown law {args.law!r}")
-
-
-def _dump_sample_rows(args, stream):
-    kind = args.dump_sample
-    if kind == "laplace":
-        vals = sample_laplace(args.draws, stream)
-        return [("index", "value")] + [(i, repr(float(v))) for i, v in enumerate(vals)]
-    if kind == "two-line":
-        pts = sample_two_line(args.draws, stream)
-        return [("index", "x", "y")] + [
-            (i, repr(float(x)), repr(float(y))) for i, (x, y) in enumerate(pts)
-        ]
-    if kind == "brownian":
-        path = sample_brownian_path(args.horizon or 1.0, args.step or 0.01, stream)
-        return [("index", "t", "value")] + [
-            (i, repr(float(t)), repr(float(v)))
-            for i, (t, v) in enumerate(zip(path.times, path.values))
-        ]
-    raise ConfigError(f"unknown sample kind {kind!r}")
+    # --law kmeans, the last of the parser's choices
+    inputs = estimate_kmeans_cov(args.cov_samples, stream.child("cov"))
+    draws = sample_kmeans_limit(inputs, stream, args.draws)
+    rows = [("index", "delta_s", "eps_d", "delta_d", "eps_s")]
+    rows += [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(draws)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--law", choices=("chernoff", "lasso-first", "kmeans"))
     p_lim.add_argument(
         "--dump-sample",
-        choices=("laplace", "two-line", "brownian"),
-        help="debug: emit raw source-distribution draws instead of a limit law",
+        choices=("two-line",),
+        help="emit raw draws of the two-line law (x, y) instead of a limit law",
     )
     p_lim.add_argument("--draws", type=int, default=1000)
     p_lim.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -559,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier_group.add_argument("--quick", action="store_true", help="reduced-scale tier (default)")
     tier_group.add_argument(
         "--full", action="store_true",
-        help="binding thresholds, ~60 s at --threads 2 on 2 cores",
+        help="binding thresholds, ~25 s at --threads 2 on 2 cores",
     )
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--threads", type=int, default=1)

@@ -17,13 +17,10 @@ import numpy as np
 __all__ = [
     "SeedStream",
     "derive_stream_index",
-    "BrownianPath",
     "CovMatrix",
     "IndefiniteCovarianceError",
-    "sample_laplace",
     "sample_two_line",
     "sample_gaussian_vector",
-    "sample_brownian_path",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -62,20 +59,6 @@ class SeedStream:
     def child(self, *parts) -> "SeedStream":
         """Derived stream for a sub-task, mixing the parent index in."""
         return SeedStream(self.master_seed, derive_stream_index(self.stream_index, *parts))
-
-
-def sample_laplace(n: int, stream: SeedStream) -> np.ndarray:
-    """``n`` i.i.d. draws with density exp(-|y|)/2 (mean 0, variance 2).
-
-    Sampled as sign times a unit exponential, both by inverse CDF, which is
-    exact and reproducible across platforms up to float rounding.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gen = stream.generator()
-    signs = gen.integers(0, 2, size=n) * 2 - 1
-    magnitudes = gen.standard_exponential(size=n, method="inv")
-    return signs * magnitudes
 
 
 def sample_two_line(n: int, stream: SeedStream) -> np.ndarray:
@@ -143,30 +126,6 @@ def sample_gaussian_vector(
     return z @ root.T
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Two-sided Brownian motion on the closed grid {-T, -T+h, ..., T}.
-
-    ``values[i]`` is B(times[i]); B(0) = 0 exactly, and the two sides of the
-    origin are built from independent N(0, h) increments.
-    """
-
-    horizon: float
-    step: float
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def origin_index(self) -> int:
-        return (len(self.values) - 1) // 2
-
-    def value_at(self, t: float) -> float:
-        i = int(round((t + self.horizon) / self.step))
-        if not (0 <= i < len(self.values)) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t = {t} is not a grid point")
-        return float(self.values[i])
-
-
 def _validate_grid(T: float, h: float) -> int:
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -193,13 +152,3 @@ def _two_sided_values(gen: np.random.Generator, paths: int, n: int, h: float) ->
     out[:, n + 1 :] = pos
     out[:, :n] = neg[:, ::-1]
     return out
-
-
-def sample_brownian_path(T: float, h: float, stream: SeedStream) -> BrownianPath:
-    """One two-sided Brownian path as cumulative sums of N(0, h) increments
-    outward from the pinned origin."""
-    n = _validate_grid(T, h)
-    gen = stream.generator()
-    values = _two_sided_values(gen, 1, n, h)[0]
-    times = (np.arange(2 * n + 1) - n) * h
-    return BrownianPath(horizon=T, step=h, times=times, values=values)

@@ -6,7 +6,6 @@ from .lasso import (
     LassoConfig,
     LassoFit,
     SearchBoxError,
-    criterion_value,
     fit_bridge_lasso,
     generate_lasso_design,
     search_box,
@@ -29,7 +28,6 @@ __all__ = [
     "LassoConfig",
     "LassoFit",
     "SearchBoxError",
-    "criterion_value",
     "fit_bridge_lasso",
     "generate_lasso_design",
     "search_box",

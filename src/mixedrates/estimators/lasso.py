@@ -23,7 +23,6 @@ __all__ = [
     "SearchBoxError",
     "generate_lasso_design",
     "fit_bridge_lasso",
-    "criterion_value",
     "search_box",
 ]
 
@@ -110,13 +109,6 @@ def generate_lasso_design(n: int, d: int, stream: SeedStream) -> np.ndarray:
 
 def _quad_parts(y: np.ndarray, X: np.ndarray):
     return X.T @ X, X.T @ y, float(y @ y)
-
-
-def criterion_value(alpha, y: np.ndarray, config: LassoConfig) -> float:
-    """Evaluate the penalized criterion at one point."""
-    a = np.asarray(alpha, dtype=np.float64)
-    resid = y - config.design @ a
-    return float(resid @ resid + config.lambda_n * np.sum(np.abs(a) ** config.gamma))
 
 
 def _batch_values(A: np.ndarray, xtx, xty, yty, lam: float, gamma: float) -> np.ndarray:

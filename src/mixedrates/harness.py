@@ -1,5 +1,12 @@
-"""Monte Carlo experiment runner: sample-size ladders, replicate fan-out,
-log-log rate fits, exact-zero fractions and two-sample CDF distances.
+"""Monte Carlo experiment runner: the experiment registry, sample-size
+ladders, replicate fan-out, log-log rate fits, exact-zero fractions and
+two-sample CDF distances.
+
+``EXPERIMENTS`` holds one :class:`Experiment` record per experiment: its
+components, replicate runner, rescale exponents, parameter defaults and
+checks, limit-law draws and extra summaries.  The CLI and the acceptance
+checks read that record, so adding an experiment means adding one record
+here.
 
 Every replicate draws from a stream derived solely from
 (master_seed, experiment, n, replicate), so concurrent and sequential runs
@@ -10,9 +17,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,17 +30,26 @@ from .estimators import (
     LassoConfig,
     SearchBoxError,
     fit_bridge_lasso,
-    fit_kmeans2,
     fit_kmeans2_global,
     fit_shorth,
     generate_lasso_design,
     shorth_population,
 )
-from .limits import BoundaryHitError, LinearizationGateError, kmeans_two_line_sample
+from .limits import (
+    BoundaryHitError,
+    ChernoffConfig,
+    LinearizationGateError,
+    estimate_kmeans_cov,
+    kmeans_two_line_sample,
+    sample_chernoff_argmax,
+    sample_kmeans_limit,
+    sample_lasso_limits,
+)
 from .rates import CoarseRateSpec, RateSpec, coarse_rates, derive_rates
 
 __all__ = [
     "EXPERIMENTS",
+    "Experiment",
     "LadderConfig",
     "LadderRecord",
     "RateEstimate",
@@ -42,54 +59,12 @@ __all__ = [
     "fit_rate",
     "ks_two_sample",
     "zero_fraction",
-    "theoretical_rates",
     "records_to_csv_lines",
 ]
 
 
 class HarnessError(RuntimeError):
     pass
-
-
-_COMPONENTS = {
-    "lasso": ("alpha1", "alpha2"),
-    "shorth": ("m", "r"),
-    "kmeans": ("delta_s", "eps_d", "delta_d", "eps_s"),
-}
-
-EXPERIMENTS = tuple(_COMPONENTS)
-
-_LASSO_DEFAULTS = {"d": 2, "lambda0": 2.0, "gamma": 0.5, "sigma": 1.0, "design_mode": "fresh"}
-
-
-@dataclass(frozen=True)
-class LadderConfig:
-    """One experiment over a geometric ladder of sample sizes."""
-
-    experiment: str
-    n_values: tuple[int, ...]
-    replicates: int
-    master_seed: int
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.experiment not in _COMPONENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        ns = tuple(int(n) for n in self.n_values)
-        if len(ns) < 4:
-            raise ValueError("need at least 4 ladder points for rate fitting")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        if self.replicates < 50:
-            raise ValueError("need at least 50 replicates per ladder point")
-        object.__setattr__(self, "n_values", ns)
-        merged = dict(_LASSO_DEFAULTS) if self.experiment == "lasso" else {}
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        return _COMPONENTS[self.experiment]
 
 
 @dataclass(frozen=True)
@@ -135,9 +110,7 @@ def _run_lasso_replicate(params, master_seed: int, n: int, r: int) -> list[Ladde
     d = int(params["d"])
     beta = np.zeros(d)
     beta[0] = 1.0
-    design_stream = _lasso_design_stream(
-        master_seed, n, r, params.get("design_mode", "fresh")
-    )
+    design_stream = _lasso_design_stream(master_seed, n, r, params["design_mode"])
     design = generate_lasso_design(n, d, design_stream)
     noise = (
         _replicate_stream(master_seed, "lasso", n, r, "noise").generator().standard_normal(n)
@@ -160,7 +133,7 @@ def _run_lasso_replicate(params, master_seed: int, n: int, r: int) -> list[Ladde
             error=float(fit.alpha_hat[j] - beta[j]),
             zero_flag=bool(fit.zero_flags[j]),
         )
-        for j, comp in enumerate(_COMPONENTS["lasso"])
+        for j, comp in enumerate(("alpha1", "alpha2"))
     ]
 
 
@@ -170,8 +143,8 @@ def _run_shorth_replicate(params, master_seed: int, n: int, r: int) -> list[Ladd
     pop = shorth_population()
     errors = {"m": fit.m - pop.mu, "r": fit.r - pop.rho}
     return [
-        LadderRecord(experiment="shorth", n=n, replicate=r, component=c, error=errors[c])
-        for c in _COMPONENTS["shorth"]
+        LadderRecord(experiment="shorth", n=n, replicate=r, component=c, error=e)
+        for c, e in errors.items()
     ]
 
 
@@ -196,20 +169,183 @@ def _run_kmeans_replicate(params, master_seed: int, n: int, r: int) -> list[Ladd
             n=n,
             replicate=r,
             component=c,
-            error=errors[c],
+            error=e,
             choice=res.choice,
             tie_flag=res.tie,
             diag_flags=";".join(diags),
         )
-        for c in _COMPONENTS["kmeans"]
+        for c, e in errors.items()
     ]
 
 
-_RUNNERS = {
-    "lasso": _run_lasso_replicate,
-    "shorth": _run_shorth_replicate,
-    "kmeans": _run_kmeans_replicate,
+def _check_lasso_params(params: Mapping[str, object]) -> None:
+    if params["design_mode"] not in ("fresh", "fixed"):
+        raise ValueError(
+            f"design_mode must be 'fresh' or 'fixed', got {params['design_mode']!r}"
+        )
+    if params["d"] not in (2, 3):
+        # records hold alpha1 and alpha2, and the solver's grid caps d at 3
+        raise ValueError(f"lasso d must be 2 or 3, got {params['d']!r}")
+
+
+def _limit_stream(master_seed: int, experiment: str, component: str) -> SeedStream:
+    return SeedStream(master_seed, derive_stream_index("limit", experiment, component))
+
+
+def _lasso_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
+    # C11 = 1/3 is the design curvature of centered Uniform[-1, 1] columns
+    stream = _limit_stream(master_seed, "lasso", "alpha1")
+    return {
+        "alpha1": sample_lasso_limits(1.0 / 3.0, params["lambda0"], params["sigma"], stream, draws)
+    }
+
+
+def _shorth_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
+    pop = shorth_population()
+    return {
+        "m": sample_chernoff_argmax(
+            ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=draws),
+            _limit_stream(master_seed, "shorth", "m"),
+        ),
+        # first-order limit: Gaussian with sd (1/2)/c1 (variance of the
+        # half-coverage indicator is 1/4); the acceptance check adds the
+        # n^(-1/6) term of sample_shorth_r_limit
+        "r": _limit_stream(master_seed, "shorth", "r").generator().normal(0.0, 0.5 / pop.c1, draws),
+    }
+
+
+def _kmeans_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
+    """The score covariance is estimated once per run; each component takes
+    its column of draws from its own stream."""
+    inputs = estimate_kmeans_cov(1_000_000, _limit_stream(master_seed, "kmeans", "cov"))
+    return {
+        comp: sample_kmeans_limit(inputs, _limit_stream(master_seed, "kmeans", comp), draws)[:, j]
+        for j, comp in enumerate(EXPERIMENTS["kmeans"].components)
+    }
+
+
+def _lasso_summaries(records, n_values) -> tuple[dict, set]:
+    """Exact-zero fraction of alpha2 at every rung; alpha2 is reported as
+    collapsed to 0, not fitted, when over 90% of top-rung fits zero it."""
+    fractions = {
+        str(n): zero_fraction([rec for rec in records if rec.n == n], "alpha2") for n in n_values
+    }
+    collapsed = {"alpha2"} if fractions[str(n_values[-1])][0] > 0.9 else set()
+    return {"zero_fraction_alpha2": fractions}, collapsed
+
+
+def _kmeans_summaries(records, n_values) -> tuple[dict, set]:
+    """Share of top-rung fits that pick the cv configuration."""
+    top_n = n_values[-1]
+    choices = [rec.choice for rec in records if rec.n == top_n and rec.component == "delta_s"]
+    frac = sum(c == "cv" for c in choices) / len(choices)
+    se = math.sqrt(frac * (1.0 - frac) / len(choices))
+    return {"split_fraction_cv": {"n": top_n, "fraction": frac, "se": se}}, set()
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the harness, the CLI and the acceptance checks know about
+    one experiment.
+
+    ``rates`` maps each component, in record order, to its rescale exponent
+    from the rate calculus.  ``run_replicate(params, master_seed, n, r)``
+    returns one record per component.  ``limit_draws(params, master_seed,
+    draws)`` maps components to draws of their limit law; a component left
+    out gets no KS comparison.  ``summaries(records, n_values)`` returns
+    extra summary entries and the components reported as collapsed instead
+    of fitted.  Exact zeros of ``sparse`` components are left out of their
+    rate fits.  Runners and limit draws call the estimators and samplers by
+    their module-level names, so wrappers installed on those names see them.
+    """
+
+    rates: Mapping[str, Fraction]
+    run_replicate: Callable[..., list[LadderRecord]]
+    limit_draws: Callable[..., dict[str, np.ndarray]]
+    defaults: Mapping[str, object] = field(default_factory=dict)
+    check_params: Callable[[Mapping[str, object]], None] = lambda params: None
+    summaries: Callable[..., tuple[dict, set]] = lambda records, n_values: ({}, set())
+    sparse: tuple[str, ...] = ()
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        return tuple(self.rates)
+
+    def resolve(self, params: Mapping[str, object] | None) -> dict:
+        """The defaults overridden by ``params``, checked."""
+        merged = {**self.defaults, **(params or {})}
+        self.check_params(merged)
+        return merged
+
+
+_KMEANS_RATES = derive_rates(RateSpec(3, 2, [(2, 1)] * 3))
+
+EXPERIMENTS: dict[str, Experiment] = {
+    # quadratic criterion balanced against root-n linear noise: 1/2 for both
+    # coefficients
+    "lasso": Experiment(
+        rates=dict.fromkeys(
+            ("alpha1", "alpha2"), coarse_rates(CoarseRateSpec(2, 2, [(1, Fraction(1, 2))]))[0]
+        ),
+        run_replicate=_run_lasso_replicate,
+        limit_draws=_lasso_limit_draws,
+        defaults={"d": 2, "lambda0": 2.0, "gamma": 0.5, "sigma": 1.0, "design_mode": "fresh"},
+        check_params=_check_lasso_params,
+        summaries=_lasso_summaries,
+        sparse=("alpha2",),
+    ),
+    # the center balances a quadratic against root-n-linear plus n^(-2/3)
+    # empirical-process noise, giving min(1/2, 1/3) = 1/3; the half-length
+    # error is the root-n coverage constraint
+    "shorth": Experiment(
+        rates={
+            "m": coarse_rates(
+                CoarseRateSpec(2, 2, [(1, Fraction(1, 2)), (0, Fraction(2, 3))])
+            )[0],
+            "r": Fraction(1, 2),
+        },
+        run_replicate=_run_shorth_replicate,
+        limit_draws=_shorth_limit_draws,
+    ),
+    # the cubic/quadratic two-block profile with three (2, 1) cross terms
+    # gives (1/4, 1/2)
+    "kmeans": Experiment(
+        rates={
+            "delta_s": _KMEANS_RATES.tau_a,
+            "eps_d": _KMEANS_RATES.tau_a,
+            "delta_d": _KMEANS_RATES.tau_b,
+            "eps_s": _KMEANS_RATES.tau_b,
+        },
+        run_replicate=_run_kmeans_replicate,
+        limit_draws=_kmeans_limit_draws,
+        summaries=_kmeans_summaries,
+    ),
 }
+
+
+@dataclass(frozen=True)
+class LadderConfig:
+    """One experiment over a geometric ladder of sample sizes; ``params``
+    comes back with the experiment's defaults filled in."""
+
+    experiment: str
+    n_values: tuple[int, ...]
+    replicates: int
+    master_seed: int
+    params: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        ns = tuple(int(n) for n in self.n_values)
+        if len(ns) < 4:
+            raise ValueError("need at least 4 ladder points for rate fitting")
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValueError("n_values must be strictly increasing")
+        if self.replicates < 50:
+            raise ValueError("need at least 50 replicates per ladder point")
+        object.__setattr__(self, "n_values", ns)
+        object.__setattr__(self, "params", EXPERIMENTS[self.experiment].resolve(self.params))
 
 
 # The declared numerical failures of a replicate.  Any other exception is a
@@ -218,8 +354,9 @@ _NUMERICAL_FAILURES = (DesignError, SearchBoxError, LinearizationGateError, Boun
 
 
 def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
+    exp = EXPERIMENTS[experiment]
     try:
-        return _RUNNERS[experiment](params, master_seed, n, r)
+        return exp.run_replicate(params, master_seed, n, r)
     except _NUMERICAL_FAILURES as exc:  # recorded, not fatal; the run-level gate decides
         # one CSV field: no comma, no line break
         message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
@@ -232,7 +369,7 @@ def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list
                 error=float("nan"),
                 diag_flags=f"failed:{message}",
             )
-            for c in _COMPONENTS[experiment]
+            for c in exp.components
         ]
 
 
@@ -246,13 +383,15 @@ def run_cells(
 ) -> list[LadderRecord]:
     """Execution core shared by ladders and single-n comparison runs.
 
-    Every replicate is seeded from (master_seed, experiment, n, replicate),
-    so the output is independent of worker scheduling.  A declared numerical
-    failure (``_NUMERICAL_FAILURES``) becomes a flagged record and aborts the
-    run only above a 1% rate; any other exception aborts it at once.
+    ``params`` overrides the experiment's defaults.  Every replicate is
+    seeded from (master_seed, experiment, n, replicate), so the output is
+    independent of worker scheduling.  A declared numerical failure
+    (``_NUMERICAL_FAILURES``) becomes a flagged record and aborts the run
+    only above a 1% rate, with each distinct failure message; any other
+    exception aborts it at once.
     """
-    merged = dict(_LASSO_DEFAULTS) if experiment == "lasso" else {}
-    merged.update(params or {})
+    exp = EXPERIMENTS[experiment]
+    merged = exp.resolve(params)
     tasks = [(n, r) for n in n_values for r in range(replicates)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -270,15 +409,26 @@ def run_cells(
     else:
         results = [_run_task(experiment, merged, master_seed, n, r) for n, r in tasks]
 
-    comp_order = {c: i for i, c in enumerate(_COMPONENTS[experiment])}
+    comp_order = {c: i for i, c in enumerate(exp.components)}
     records = [rec for chunk in results for rec in chunk]
     records.sort(key=lambda rec: (rec.n, rec.replicate, comp_order[rec.component]))
 
-    failed = sum(1 for rec in records if rec.diag_flags.startswith("failed")) / len(
-        comp_order
-    )
-    if failed > 0.01 * len(tasks):
-        raise HarnessError(f"{failed:.0f} of {len(tasks)} replicates failed")
+    failed = [
+        rec
+        for rec in records
+        if rec.component == exp.components[0] and rec.diag_flags.startswith("failed:")
+    ]
+    if len(failed) > 0.01 * len(tasks):
+        counts = Counter(rec.diag_flags for rec in failed)
+        first = {rec.diag_flags: rec for rec in reversed(failed)}
+        raise HarnessError(
+            f"{len(failed)} of {len(tasks)} replicates failed:"
+            + "".join(
+                f"\n  {count} x {flag[len('failed:'):]} "
+                f"(first at n = {first[flag].n}, r = {first[flag].replicate})"
+                for flag, count in counts.items()
+            )
+        )
     return records
 
 
@@ -376,37 +526,6 @@ def zero_fraction(records: Iterable[LadderRecord], component: str) -> tuple[floa
         raise ValueError("need at least 50 records")
     p = sum(flags) / len(flags)
     return p, math.sqrt(p * (1.0 - p) / len(flags))
-
-
-def theoretical_rates(experiment: str) -> dict[str, Fraction]:
-    """Rescaling exponents per component, taken from the rate calculus (not
-    from empirical fits).
-
-    - lasso: quadratic criterion balanced against root-n linear noise gives
-      1/2 for both coefficients.
-    - shorth: the center error balances a quadratic against root-n-linear
-      plus n^(-2/3) empirical-process noise, giving min(1/2, 1/3) = 1/3; the
-      half-length error is the root-n coverage constraint.
-    - kmeans: the cubic/quadratic two-block profile with three (2, 1) cross
-      terms gives (1/4, 1/2).
-    """
-    if experiment == "lasso":
-        tau, _ = coarse_rates(CoarseRateSpec(2, 2, [(1, Fraction(1, 2))]))
-        return {"alpha1": tau, "alpha2": tau}
-    if experiment == "shorth":
-        tau_m, _ = coarse_rates(
-            CoarseRateSpec(2, 2, [(1, Fraction(1, 2)), (0, Fraction(2, 3))])
-        )
-        return {"m": tau_m, "r": Fraction(1, 2)}
-    if experiment == "kmeans":
-        res = derive_rates(RateSpec(3, 2, [(2, 1)] * 3))
-        return {
-            "delta_s": res.tau_a,
-            "eps_d": res.tau_a,
-            "delta_d": res.tau_b,
-            "eps_s": res.tau_b,
-        }
-    raise ValueError(f"unknown experiment {experiment!r}")
 
 
 _CSV_HEADER = "experiment,n,replicate,component,error,zero_flag,choice,tie_flag,diag_flags"

@@ -115,3 +115,11 @@ def test_shorth_r_ks_tolerance_above_null_99th_percentile():
     for tier in acc.TIERS.values():
         q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / tier.shorth_ks_replicates)
         assert q99 < tier.shorth_r_ks_tol, tier.name
+
+
+def test_chernoff_scaling_ks_tolerance_above_null_99th_percentile():
+    # oracle-chernoff-scaling compares two samples of oracle_chernoff_draws
+    # each at KS tolerance 0.03: the null's 99th percentile must sit under it
+    for tier in acc.TIERS.values():
+        q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / tier.oracle_chernoff_draws)
+        assert q99 < 0.03, tier.name

@@ -1,10 +1,13 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from mixedrates import acceptance, cli
+from mixedrates import acceptance, cli, harness
 from mixedrates.acceptance import CheckResult
-from mixedrates.harness import EXPERIMENTS
+from mixedrates.distributions import SeedStream
+from mixedrates.harness import EXPERIMENTS, Experiment, LadderRecord
 
 
 def run_cli(args):
@@ -135,7 +138,7 @@ class TestSimulateCommand:
 def small_runs(tmp_path_factory):
     """One small simulate run per experiment, counting covariance estimates."""
     calls = []
-    real = cli.estimate_kmeans_cov
+    real = harness.estimate_kmeans_cov
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -143,7 +146,7 @@ def small_runs(tmp_path_factory):
 
     outs = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "estimate_kmeans_cov", counting)
+        mp.setattr(harness, "estimate_kmeans_cov", counting)
         for experiment in EXPERIMENTS:
             out = tmp_path_factory.mktemp(experiment)
             argv = [
@@ -169,6 +172,88 @@ def test_kmeans_covariance_estimated_once_per_summary(small_runs):
     summary = json.loads((outs["kmeans"] / "summary.json").read_text())
     assert len(summary["ks_vs_limit"]) == 4
     assert cov_calls == 1
+
+
+# sha256 of every output of the small_runs fixture but manifest.json, which
+# holds timestamps.  A change that moves any byte of them, summary.json key
+# order included, fails here.
+SMALL_RUN_DIGESTS = {
+    "lasso": {
+        "plotdata/alpha1_loglog.csv": "bd47d4c92958980437d1dbef1e422f2688e06bf831da8bcc2120bbf1684bb5a6",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "057eb3efae35f5567aa9fb831af154ca78c90dd07e6a2c0b46bdc7bd005e9ebd",
+        "records.csv": "4dcb9f80af8cb4de1beea678bdefdba00635f0f3994cf142c6c121e1e67eab32",
+        "summary.json": "794c66bf0167c5c5dd23fc1e73363bfa08462493f6862f98dd8e1f910289beed",
+    },
+    "shorth": {
+        "plotdata/m_loglog.csv": "dfe1c603cd57921927be9d45aceb13cf11b2634e7effa62706d12dd38c60647d",
+        "plotdata/m_rescaled_vs_limit.csv": "243f2331e82496088071b5c531991d3cc3bb1b54c6db6b815f62ed78960a6f7a",
+        "plotdata/r_loglog.csv": "ac97d92b768b722a484fa0af990bb4571f86b157d108f5f0b4c4f176fc79193f",
+        "plotdata/r_rescaled_vs_limit.csv": "277131302c6a327db6feacdd5bd897cb70dd76dc6446fdcf9e9c82245b133088",
+        "records.csv": "8a83613a3dea87c950e5564d0efae4b0df0561436fa9a7076a9ec21a0051a43f",
+        "summary.json": "c67aceac91c1cc3fc6831b778b132045bcc929969176eb033a083356eee0ecc7",
+    },
+    "kmeans": {
+        "plotdata/delta_d_loglog.csv": "acd359824231bca3a3e54e4a2235dc80b3b644e126af41b89c41cec4d3c7bb61",
+        "plotdata/delta_d_rescaled_vs_limit.csv": "dbef7568d5c7cd7fcd300954c1ec8bf06bfebcd1fe3a5289d8971375400a534d",
+        "plotdata/delta_s_loglog.csv": "f2bc0d8203fe6ad35a1249d4e13e4a8522b5cc8193abfd0f63bae0c2b5ac506a",
+        "plotdata/delta_s_rescaled_vs_limit.csv": "17be3ad77907ea3dcb87b3f0150cd54d94cb2938da3c948e0b1b77ed69ec633f",
+        "plotdata/eps_d_loglog.csv": "35c6d1c9c6d2e3e5d59743038500eec94c68a2da81d7484e3b07fda1f81aed21",
+        "plotdata/eps_d_rescaled_vs_limit.csv": "6bf64a8f5dfe6aa2e89033ae3a62cafa9b320139a6c0206939203c20a31a2c80",
+        "plotdata/eps_s_loglog.csv": "6593a34a51224e8c359b9851b34fcda04660592c425d9b64b162cfdb2d41f64c",
+        "plotdata/eps_s_rescaled_vs_limit.csv": "0b637a71e9ee44e5ab0de2d8b75d981b05b799176a1253cce102d345203be355",
+        "records.csv": "091c055634485f7173387b5d0320cea9467194fa2787b0ebf3618351b793b679",
+        "summary.json": "aa780cca1f00b918cb2117ef8026f7e0aac9ea3cefcaf5126f1557eead5e7214",
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_small_run_outputs_are_byte_identical(small_runs, experiment):
+    outs, _ = small_runs
+    out = outs[experiment]
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    assert digests == SMALL_RUN_DIGESTS[experiment]
+
+
+def _run_toy_replicate(params, master_seed, n, r):
+    stream = SeedStream(master_seed, r * 100_000 + n)
+    return [LadderRecord("toy", n, r, "mean", float(stream.generator().standard_normal(n).mean()))]
+
+
+def _toy_limit_draws(params, master_seed, draws):
+    return {"mean": SeedStream(master_seed, 1).generator().standard_normal(draws)}
+
+
+def test_experiment_registered_only_in_the_registry_runs_end_to_end(
+    monkeypatch, tmp_path, capsys
+):
+    # the sample mean of n standard normals: error rate n^(-1/2), limit N(0, 1)
+    toy = Experiment(
+        rates={"mean": Fraction(1, 2)},
+        run_replicate=_run_toy_replicate,
+        limit_draws=_toy_limit_draws,
+    )
+    monkeypatch.setitem(EXPERIMENTS, "toy", toy)
+    out = tmp_path / "toy"
+    argv = [
+        "simulate", "--experiment", "toy", "--n-values", "100,200,400,800",
+        "--replicates", "50", "--seed", "5", "--out-dir", str(out),
+    ]
+    assert run_cli(argv) == 0
+    assert len((out / "records.csv").read_text().splitlines()) == 1 + 4 * 50
+    summary = json.loads((out / "summary.json").read_text())
+    rate = summary["rates"]["mean"]
+    assert rate["target"] == "-1/2"
+    assert abs(rate["slope"] + 0.5) < 0.15
+    ks = summary["ks_vs_limit"]["mean"]
+    assert (ks["empirical"], ks["limit_draws"]) == (50, 50)
+    assert sorted(p.name for p in (out / "plotdata").iterdir()) == [
+        "mean_loglog.csv", "mean_rescaled_vs_limit.csv"
+    ]
 
 
 class TestLimitCommand:
@@ -198,7 +283,7 @@ class TestLimitCommand:
         assert all(line.split(",")[1] in ("-1.0", "1.0") for line in lines[1:])
 
     def test_law_and_dump_are_exclusive(self, capsys):
-        assert run_cli(["limit", "--law", "chernoff", "--dump-sample", "laplace"]) == 2
+        assert run_cli(["limit", "--law", "chernoff", "--dump-sample", "two-line"]) == 2
         assert run_cli(["limit"]) == 2
 
     def test_deterministic_output(self, capsys):

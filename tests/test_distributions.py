@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from mixedrates.distributions import (
-    BrownianPath,
     CovMatrix,
     IndefiniteCovarianceError,
     SeedStream,
     derive_stream_index,
-    sample_brownian_path,
     sample_gaussian_vector,
-    sample_laplace,
     sample_two_line,
     _two_sided_values,
+    _validate_grid,
 )
 
 S = SeedStream(20240611, 0)
@@ -21,19 +19,19 @@ S = SeedStream(20240611, 0)
 
 class TestSeedStream:
     def test_same_stream_replays(self):
-        a = sample_laplace(1000, S)
-        b = sample_laplace(1000, S)
+        a = sample_two_line(1000, S)
+        b = sample_two_line(1000, S)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_laplace(1000, SeedStream(1, 0))
-        b = sample_laplace(1000, SeedStream(1, 1))
+        a = sample_two_line(1000, SeedStream(1, 0))
+        b = sample_two_line(1000, SeedStream(1, 1))
         assert not np.array_equal(a, b)
 
     def test_stream_independence_correlation(self):
         n = 100_000
-        a = sample_laplace(n, SeedStream(9, 4))
-        b = sample_laplace(n, SeedStream(9, 5))
+        a = sample_two_line(n, SeedStream(9, 4))[:, 1]
+        b = sample_two_line(n, SeedStream(9, 5))[:, 1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.015
 
@@ -50,19 +48,21 @@ class TestSeedStream:
 
 
 class TestLaplace:
+    """The y coordinate of the two-line law: density exp(-|y|)/2."""
+
     def test_moments_at_scale(self):
-        y = sample_laplace(1_000_000, SeedStream(3, 1))
+        y = sample_two_line(1_000_000, SeedStream(3, 1))[:, 1]
         assert abs(y.mean()) < 0.01
         assert abs(y.var() - 2.0) < 0.05
 
     def test_median_absolute_cdf_value(self):
         # P(|Y| <= ln 2) = 1 - exp(-ln 2) = 1/2
-        y = sample_laplace(1_000_000, SeedStream(3, 2))
+        y = sample_two_line(1_000_000, SeedStream(3, 2))[:, 1]
         assert abs(np.mean(np.abs(y) <= math.log(2.0)) - 0.5) < 0.01
 
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
-            sample_laplace(0, S)
+            sample_two_line(0, S)
 
 
 class TestTwoLine:
@@ -117,19 +117,22 @@ class TestGaussianVector:
 
 
 class TestBrownianPath:
+    """The two-sided grid paths that the Chernoff kernel's tests use as
+    their reference."""
+
     def test_origin_pinned_exactly(self):
-        bp = sample_brownian_path(2.0, 0.25, SeedStream(6, 0))
-        assert bp.values[bp.origin_index] == 0.0
-        assert bp.value_at(0.0) == 0.0
-        assert len(bp.values) == 17
+        n = _validate_grid(2.0, 0.25)
+        V = _two_sided_values(SeedStream(6, 0).generator(), 3, n, 0.25)
+        assert V.shape == (3, 17)
+        assert np.all(V[:, n] == 0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            sample_brownian_path(0.0, 0.1, S)
+            _validate_grid(0.0, 0.1)
         with pytest.raises(ValueError):
-            sample_brownian_path(1.0, 0.0, S)
+            _validate_grid(1.0, 0.0)
         with pytest.raises(ValueError):
-            sample_brownian_path(1.0, 0.3, S)  # T/h not integral
+            _validate_grid(1.0, 0.3)  # T/h not integral
 
     def test_endpoint_variances(self):
         V = _two_sided_values(SeedStream(6, 1).generator(), 10_000, 100, 0.01)
@@ -144,6 +147,6 @@ class TestBrownianPath:
         assert abs(np.mean(b_m05 * b_10)) < 0.05
 
     def test_replay(self):
-        a = sample_brownian_path(1.0, 0.01, SeedStream(6, 3))
-        b = sample_brownian_path(1.0, 0.01, SeedStream(6, 3))
-        assert np.array_equal(a.values, b.values)
+        a = _two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
+        b = _two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
+        assert np.array_equal(a, b)

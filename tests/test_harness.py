@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from mixedrates import harness
 from mixedrates.estimators import SearchBoxError
 from mixedrates.harness import (
+    EXPERIMENTS,
     HarnessError,
     LadderConfig,
     LadderRecord,
@@ -16,7 +17,6 @@ from mixedrates.harness import (
     records_to_csv_lines,
     run_cells,
     run_ladder,
-    theoretical_rates,
     zero_fraction,
 )
 
@@ -112,25 +112,27 @@ class TestReplicateFailures:
     and lets every other exception through."""
 
     @staticmethod
-    def _runner(exc, failing):
-        real = harness._RUNNERS["shorth"]
+    def _fail(monkeypatch, exc, failing):
+        """Make the shorth runner raise ``exc`` on the replicates ``failing``."""
+        shorth = EXPERIMENTS["shorth"]
 
         def run(params, master_seed, n, r):
             if r in failing:
                 raise exc
-            return real(params, master_seed, n, r)
+            return shorth.run_replicate(params, master_seed, n, r)
 
-        return run
+        monkeypatch.setitem(
+            EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicate=run)
+        )
 
     def test_programming_error_aborts_run(self, monkeypatch):
-        runner = self._runner(TypeError("unsupported operand"), {7})
-        monkeypatch.setitem(harness._RUNNERS, "shorth", runner)
+        self._fail(monkeypatch, TypeError("unsupported operand"), {7})
         with pytest.raises(TypeError, match="unsupported operand"):
             run_cells("shorth", [100, 200], 100, 5, workers=1)
 
     def test_numerical_failure_is_flagged_and_tolerated(self, monkeypatch):
         exc = SearchBoxError("hit the box, twice\nat n = 100")
-        monkeypatch.setitem(harness._RUNNERS, "shorth", self._runner(exc, {7}))
+        self._fail(monkeypatch, exc, {7})
         recs = run_cells("shorth", [100, 200], 100, 5, workers=1)
         failed = [rec for rec in recs if rec.diag_flags.startswith("failed:")]
         assert [(rec.n, rec.replicate) for rec in failed] == [(100, 7), (100, 7), (200, 7), (200, 7)]
@@ -142,9 +144,13 @@ class TestReplicateFailures:
 
     def test_numerical_failures_above_gate_raise(self, monkeypatch):
         exc = SearchBoxError("hit the box")
-        monkeypatch.setitem(harness._RUNNERS, "shorth", self._runner(exc, {7, 8}))
-        with pytest.raises(HarnessError, match="4 of 200 replicates failed"):
+        self._fail(monkeypatch, exc, {7, 8})
+        with pytest.raises(HarnessError, match="4 of 200 replicates failed") as err:
             run_cells("shorth", [100, 200], 100, 5, workers=1)
+        # each distinct failure message, with its count and where it first occurred
+        assert str(err.value).splitlines()[1:] == [
+            "  4 x SearchBoxError: hit the box (first at n = 100, r = 7)"
+        ]
 
 
 class TestFitRate:
@@ -261,9 +267,9 @@ class TestZeroFraction:
 def test_theoretical_rates_come_from_rate_calculus():
     from fractions import Fraction as F
 
-    assert theoretical_rates("lasso") == {"alpha1": F(1, 2), "alpha2": F(1, 2)}
-    assert theoretical_rates("shorth") == {"m": F(1, 3), "r": F(1, 2)}
-    assert theoretical_rates("kmeans") == {
+    assert EXPERIMENTS["lasso"].rates == {"alpha1": F(1, 2), "alpha2": F(1, 2)}
+    assert EXPERIMENTS["shorth"].rates == {"m": F(1, 3), "r": F(1, 2)}
+    assert EXPERIMENTS["kmeans"].rates == {
         "delta_s": F(1, 4),
         "eps_d": F(1, 4),
         "delta_d": F(1, 2),

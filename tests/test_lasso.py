@@ -6,7 +6,6 @@ import pytest
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import (
     LassoConfig,
-    criterion_value,
     fit_bridge_lasso,
     generate_lasso_design,
     search_box,
@@ -18,6 +17,14 @@ from mixedrates.estimators.lasso import (
     _grid_values,
     _slice_criterion,
 )
+
+
+def criterion_value(alpha, y, config):
+    """Independent oracle: the penalized criterion at one point, in residual
+    form rather than the solver's Gram form."""
+    a = np.asarray(alpha, dtype=np.float64)
+    resid = y - config.design @ a
+    return float(resid @ resid + config.lambda_n * np.sum(np.abs(a) ** config.gamma))
 
 
 def brute_force_minimum(y, cfg, points=2001):
