@@ -480,6 +480,11 @@ def check_oracle_lasso(tier: TierParams, seed: int) -> CheckResult:
 
 
 def _brute_lasso_value(y, cfg, points=2001):
+    """Minimum of the criterion on a points^2 grid over the solver's search
+    box, zero lines included.  With a = (a1, a2) the criterion is
+    y'y + u1(a1) + u2(a2) + 2 Q12 a1 a2, where u_j(a) = Q_jj a^2 - 2 (X'y)_j a
+    + lambda |a|^gamma, so each block of rows is one outer product plus the
+    two per-axis columns."""
     _, lo, hi = search_box(y, cfg.design)
     axes = []
     for j in range(2):
@@ -488,19 +493,18 @@ def _brute_lasso_value(y, cfg, points=2001):
             g = np.sort(np.append(g, 0.0))
         axes.append(g)
     X = cfg.design
-    xtx, xty, yty = X.T @ X, X.T @ y, float(y @ y)
+    xtx, xty = X.T @ X, X.T @ y
+    u1, u2 = (
+        (xtx[j, j] * a - 2.0 * xty[j]) * a + cfg.lambda_n * np.abs(a) ** cfg.gamma
+        for j, a in enumerate(axes)
+    )
     best = math.inf
-    for chunk in np.array_split(axes[0], 8):
-        A1, A2 = np.meshgrid(chunk, axes[1], indexing="ij")
-        A = np.column_stack([A1.ravel(), A2.ravel()])
-        vals = (
-            yty
-            - 2.0 * (A @ xty)
-            + np.einsum("ij,jk,ik->i", A, xtx, A)
-            + cfg.lambda_n * np.sum(np.abs(A) ** cfg.gamma, axis=1)
-        )
+    for rows in np.array_split(np.arange(axes[0].size), 8):
+        vals = np.multiply.outer(2.0 * xtx[0, 1] * axes[0][rows], axes[1])
+        vals += u1[rows, None]
+        vals += u2
         best = min(best, float(vals.min()))
-    return best
+    return float(y @ y) + best
 
 
 def check_oracle_tstar(tier: TierParams, seed: int) -> CheckResult:

@@ -175,6 +175,8 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
     summary.update(_jsonable(extras))
     # run_cells returns one record per component and replicate
     limits = exp.limit_draws(cfg.params, cfg.master_seed, cfg.replicates)
+    # tolerated failed replicates carry error NaN; fit_rate skips them itself
+    fitted = [rec for rec in records if not rec.diag_flags.startswith("failed")]
 
     for comp, exponent in exp.rates.items():
         if comp in collapsed:
@@ -192,7 +194,7 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
         }
         rows = [("log_n", "log_median_abs_error")]
         for n in cfg.n_values:
-            errs = [abs(r.error) for r in records if r.n == n and r.component == comp]
+            errs = [abs(r.error) for r in fitted if r.n == n and r.component == comp]
             med = float(np.median(errs))
             if med > 0:
                 rows.append((f"{math.log(n)!r}", f"{math.log(med)!r}"))
@@ -202,7 +204,7 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
         # theoretical rate (never by the fitted slope)
         if comp not in limits:
             continue
-        errs = np.array([r.error for r in records if r.n == top_n and r.component == comp])
+        errs = np.array([r.error for r in fitted if r.n == top_n and r.component == comp])
         rescaled = float(top_n) ** float(exponent) * errs
         draws = limits[comp]
         summary["ks_vs_limit"][comp] = {

@@ -159,51 +159,91 @@ def _grid_min(axes: list[np.ndarray], xtx, xty, yty, lam, gamma):
     return np.array([a[i] for a, i in zip(axes, idx)]), float(vals[idx])
 
 
-def _golden(f, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = f(d)
-    x = c if fc < fd else d
-    return (x, fc) if fc < fd else (x, fd)
-
-
 def _slice_criterion(x, j: int, xtx, xty, yty, lam: float, gamma: float):
-    """The criterion along coordinate j with the others fixed at ``x``:
-    t -> base + t (lin + Q_jj t) + lam |t|^gamma, on plain floats."""
-    rest = x.copy()
-    rest[j] = 0.0
-    q_rest = xtx @ rest
-    base = float(
-        yty - 2.0 * (rest @ xty) + rest @ q_rest + lam * np.sum(np.abs(rest) ** gamma)
-    )
-    lin = float(2.0 * q_rest[j] - 2.0 * xty[j])
-    q_jj = float(xtx[j, j])
+    """The criterion along coordinate j with the others fixed at ``x``,
+    ``t -> base + t (lin + q t) + lam |t|^gamma``, returned as ``(base, lin,
+    q)`` with ``q = Q_jj``.  ``x``, ``xtx`` and ``xty`` are Python lists, so
+    the coefficients are plain floats with no numpy temporaries."""
+    base, lin = yty, -2.0 * xty[j]
+    for k, xk in enumerate(x):
+        if k == j or xk == 0.0:
+            continue
+        row = xtx[k]
+        lin += 2.0 * row[j] * xk
+        base += xk * (row[k] * xk - 2.0 * xty[k]) + lam * abs(xk) ** gamma
+        for m in range(k + 1, len(x)):
+            if m != j:
+                base += 2.0 * row[m] * xk * x[m]
+    return base, lin, xtx[j][j]
+
+
+def _side_root(c: float, q: float, lam: float, gamma: float, a: float, b: float) -> float:
+    """The interior minimizer of h(s) = c s + q s^2 + lam s^gamma on [a, b],
+    0 <= a <= b, or ``a`` when h has none there.
+
+    h'' = 2q - lam gamma (1 - gamma) s^(gamma - 2) increases in s, so h is
+    concave up to s* = (lam gamma (1 - gamma) / (2q))^(1 / (2 - gamma)) and
+    convex after it: its only possible interior minimizer is the root of h'
+    on [max(a, s*), b].  There h' is increasing and convex, so Newton's method
+    from the right end stays right of the root and decreases monotonically; a
+    bisection step replaces any step that rounding pushes out of the bracket.
+    For gamma = 1, s* = 0 and the root is the soft-threshold point.
+    """
+    pen = lam * gamma
+    curv = pen * (1.0 - gamma)
+    left = max(a, (curv / (2.0 * q)) ** (1.0 / (2.0 - gamma)))
+
+    def slope(s):
+        # pen == 0 is a plain quadratic, whose slope at s = 0 is finite
+        return c + 2.0 * q * s + (pen * s ** (gamma - 1.0) if pen else 0.0)
+
+    if left >= b or slope(left) >= 0.0 or slope(b) <= 0.0:
+        return a
+    s = right = b
+    for _ in range(100):
+        g = slope(s)
+        if g == 0.0:
+            return s
+        if g > 0.0:
+            right = s
+        else:
+            left = s
+        step = s - g / (2.0 * q - curv * s ** (gamma - 2.0))
+        if not left < step < right:
+            step = 0.5 * (left + right)
+        if abs(step - s) <= 1e-15 * s:
+            return step
+        s = step
+    return s
+
+
+def _slice_min(base, lin, q, lam, gamma, lo, hi) -> tuple[float, float]:
+    """Exact minimum ``(t, f(t))`` of f(t) = base + t (lin + q t) + lam |t|^gamma
+    on [lo, hi], q > 0: the best of the endpoints, t = 0 when it lies inside,
+    and each side's interior minimizer (the negative side mirrored onto
+    s = -t >= 0)."""
+    cands = [lo, hi, 0.0] if lo < 0.0 < hi else [lo, hi]
+    if hi > 0.0:
+        cands.append(_side_root(lin, q, lam, gamma, max(lo, 0.0), hi))
+    if lo < 0.0:
+        cands.append(-_side_root(-lin, q, lam, gamma, max(-hi, 0.0), -lo))
 
     def f(t):
-        return base + t * (lin + q_jj * t) + lam * abs(t) ** gamma
+        return base + t * (lin + q * t) + lam * abs(t) ** gamma
 
-    return f
+    t = min(cands, key=f)
+    return t, f(t)
 
 
 def _coordinate_polish(start, lo, hi, free, xtx, xty, yty, lam, gamma, sweeps=3):
-    """Cyclic per-coordinate golden-section descent restricted to the sign
-    orthant of the start point (the penalty is smooth away from zero)."""
-    x = start.copy()
-    best = float(_batch_values(x[None, :], xtx, xty, yty, lam, gamma)[0])
+    """Cyclic coordinate descent restricted to the sign orthant of the start
+    point (the penalty is smooth away from zero), each coordinate moved to
+    the exact minimum of its slice by ``_slice_min``.  ``xtx`` and ``xty``
+    are Python lists; the point is kept as a list of floats."""
+    x = start.tolist()
+    base, lin, q = _slice_criterion(x, free[0], xtx, xty, yty, lam, gamma)
+    t = x[free[0]]
+    best = base + t * (lin + q * t) + lam * abs(t) ** gamma
     for _ in range(sweeps):
         for j in free:
             b_lo, b_hi = float(lo[j]), float(hi[j])
@@ -211,14 +251,14 @@ def _coordinate_polish(start, lo, hi, free, xtx, xty, yty, lam, gamma, sweeps=3)
                 b_lo = max(b_lo, 0.0)
             elif x[j] < 0.0:
                 b_hi = min(b_hi, 0.0)
-            slice_f = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
-            t, ft = _golden(slice_f, b_lo, b_hi)
+            base, lin, q = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
+            t, ft = _slice_min(base, lin, q, lam, gamma, b_lo, b_hi)
             # Strictly-better-than-noise acceptance keeps exact starts (e.g.
             # the OLS point when the penalty vanishes) untouched.
             if ft < best - 1e-12 * (1.0 + abs(best)):
                 x[j] = t
                 best = ft
-    return x, best
+    return np.array(x), best
 
 
 def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
@@ -226,17 +266,21 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
 
     Three stages: a 101-per-axis grid with the zero axes inserted as exact
     grid lines, two 5x5-cell refinements around the incumbent, and a
-    golden-section polish run separately on the interior and on every
-    axis/origin restriction.  A coordinate is reported as exactly zero
-    whenever its axis-restricted optimum beats the interior value.  If the
-    incumbent lands within one coarse cell of the box edge the box is doubled,
-    at most twice.
+    coordinate polish run separately on the interior and on every
+    axis/origin restriction.  Each polish step moves one coordinate to the
+    exact minimum of its slice within the current sign orthant: the slice is
+    concave and then convex on each side of zero, so its minimum is an
+    endpoint or the one root of its derivative on the convex part, found by
+    safeguarded Newton to machine precision (``_slice_min``).  A coordinate
+    is reported as exactly zero whenever its axis-restricted optimum beats
+    the interior value.  If the incumbent lands within one coarse cell of the
+    box edge the box is doubled, at most twice.
 
     The criterion is evaluated through (X'X, X'y, y'y) only.  On a tensor grid
     it is a separable sum of per-axis terms plus pairwise products, broadcast
     into the grid array; along a polish slice it is a scalar quadratic plus
-    the penalty term, searched on plain floats.  The grid has up to 102^d
-    points, so d is capped at 3.
+    the penalty term, on plain floats.  The grid has up to 102^d points, so d
+    is capped at 3.
     """
     y = np.asarray(responses, dtype=np.float64).ravel()
     X = config.design
@@ -283,6 +327,7 @@ def _solve_in_box(ols, lo, hi, xtx, xty, yty, lam, gamma, d):
 
     # Stage 3: polish per zero-restriction; pinned coordinates stay exact 0.0.
     best_x, best_val = inc, inc_val
+    q_list, c_list = xtx.tolist(), xty.tolist()
     all_coords = list(range(d))
     for mask in range(1 << d):
         pinned = [j for j in all_coords if (mask >> j) & 1]
@@ -293,7 +338,7 @@ def _solve_in_box(ols, lo, hi, xtx, xty, yty, lam, gamma, d):
                 x0[j] = 0.0
             x0 = np.clip(x0, lo, hi)
             if free:
-                x, val = _coordinate_polish(x0, lo, hi, free, xtx, xty, yty, lam, gamma)
+                x, val = _coordinate_polish(x0, lo, hi, free, q_list, c_list, yty, lam, gamma)
             else:
                 x = x0
                 val = float(_batch_values(x[None, :], xtx, xty, yty, lam, gamma)[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from mixedrates import acceptance, cli, harness
 from mixedrates.acceptance import CheckResult
 from mixedrates.distributions import SeedStream
+from mixedrates.estimators import SearchBoxError
 from mixedrates.harness import EXPERIMENTS, Experiment, LadderRecord
 
 
@@ -179,9 +181,9 @@ def test_kmeans_covariance_estimated_once_per_summary(small_runs):
 # order included, fails here.
 SMALL_RUN_DIGESTS = {
     "lasso": {
-        "plotdata/alpha1_loglog.csv": "bd47d4c92958980437d1dbef1e422f2688e06bf831da8bcc2120bbf1684bb5a6",
-        "plotdata/alpha1_rescaled_vs_limit.csv": "057eb3efae35f5567aa9fb831af154ca78c90dd07e6a2c0b46bdc7bd005e9ebd",
-        "records.csv": "4dcb9f80af8cb4de1beea678bdefdba00635f0f3994cf142c6c121e1e67eab32",
+        "plotdata/alpha1_loglog.csv": "690a4fe69dd4353b46bec71ddde1f81bb94b74da77b529cfa32a065194d47a2c",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "d0965dc737b12e0ee13cf9d58a28f4974554607791f97c41f93fb7a113b779e2",
+        "records.csv": "a7ef0ab0b03cc7151158fc412db8fa44dfef6cc8b39e74d78cecd4e0843f8d34",
         "summary.json": "794c66bf0167c5c5dd23fc1e73363bfa08462493f6862f98dd8e1f910289beed",
     },
     "shorth": {
@@ -217,6 +219,33 @@ def test_small_run_outputs_are_byte_identical(small_runs, experiment):
         if path.is_file() and path.name != "manifest.json"
     }
     assert digests == SMALL_RUN_DIGESTS[experiment]
+
+
+def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path):
+    # one tolerated failure at the top rung: its records carry error NaN
+    shorth = EXPERIMENTS["shorth"]
+
+    def run(params, master_seed, n, r):
+        if (n, r) == (800, 7):
+            raise SearchBoxError("hit the box")
+        return shorth.run_replicate(params, master_seed, n, r)
+
+    monkeypatch.setitem(EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicate=run))
+    out = tmp_path / "shorth"
+    argv = [
+        "simulate", "--experiment", "shorth", "--n-values", "100,200,400,800",
+        "--replicates", "100", "--seed", "5", "--out-dir", str(out),
+    ]
+    assert run_cli(argv) == 0
+    assert "failed:SearchBoxError" in (out / "records.csv").read_text()
+    summary = json.loads((out / "summary.json").read_text())
+    for comp in shorth.rates:
+        loglog = (out / "plotdata" / f"{comp}_loglog.csv").read_text().splitlines()
+        assert len(loglog) == 1 + 4
+        rescaled = (out / "plotdata" / f"{comp}_rescaled_vs_limit.csv").read_text()
+        assert "nan" not in rescaled
+        assert rescaled.count("empirical,") == 99
+        assert summary["ks_vs_limit"][comp]["empirical"] == 99
 
 
 def _run_toy_replicate(params, master_seed, n, r):

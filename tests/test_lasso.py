@@ -11,11 +11,13 @@ from mixedrates.estimators import (
     search_box,
 )
 from mixedrates.estimators.lasso import (
+    _axis_grid,
     _batch_values,
     _grid_min,
     _grid_points,
     _grid_values,
     _slice_criterion,
+    _slice_min,
 )
 
 
@@ -170,12 +172,16 @@ class TestCriterionKernels:
             x = gen.normal(0.0, 2.0, size=d)
             x[gen.random(d) < 0.3] = 0.0
             j = int(gen.integers(d))
-            f = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
+            # the polish passes Python lists
+            base, lin, q = _slice_criterion(
+                x.tolist(), j, xtx.tolist(), xty.tolist(), yty, lam, gamma
+            )
             for t in [0.0, *gen.normal(0.0, 3.0, size=5)]:
                 pt = x.copy()
                 pt[j] = t
                 ref = _batch_values(pt[None, :], xtx, xty, yty, lam, gamma)[0]
-                assert f(float(t)) == pytest.approx(ref, rel=1e-12)
+                value = base + t * (lin + q * t) + lam * abs(t) ** gamma
+                assert value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
@@ -208,6 +214,91 @@ class TestCriterionKernels:
         assert fit.criterion_value == pytest.approx(
             criterion_value(fit.alpha_hat, y, cfg), rel=1e-12
         )
+
+
+def slice_on_grid(base, lin, q, lam, gamma, lo, hi, points=50_001):
+    """Dense 1-D grid of the slice f(t) = base + t (lin + q t) + lam |t|^gamma,
+    with t = 0 inserted when it lies inside [lo, hi]."""
+    t = _axis_grid(lo, hi, points)
+    return t, base + t * (lin + q * t) + lam * np.abs(t) ** gamma
+
+
+def random_slice(gen):
+    """(base, lin, q, lam, lo, hi): one-sided intervals on either side of 0
+    and intervals that straddle it, in equal shares."""
+    base = gen.uniform(10.0, 100.0)
+    lin, q, lam = gen.uniform(-10.0, 10.0), gen.uniform(0.1, 5.0), gen.uniform(0.0, 5.0)
+    a, b = np.sort(gen.uniform(0.0, 6.0, size=2))
+    lo, hi = [(a, b), (-b, -a), (-a, b)][int(gen.integers(3))]
+    return base, lin, q, lam, float(lo), float(hi)
+
+
+class TestSliceSolver:
+    """_slice_min against a dense grid of the same slice."""
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+    def test_never_above_dense_grid(self, gamma):
+        gen = np.random.default_rng(int(gamma * 100))
+        for _ in range(150):
+            base, lin, q, lam, lo, hi = random_slice(gen)
+            t, ft = _slice_min(base, lin, q, lam, gamma, lo, hi)
+            assert lo <= t <= hi
+            assert ft == base + t * (lin + q * t) + lam * abs(t) ** gamma
+            _, vals = slice_on_grid(base, lin, q, lam, gamma, lo, hi)
+            assert ft <= vals.min() + 1e-13 * abs(vals.min())
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+    def test_two_local_minima_picks_the_lower(self, gamma):
+        # On [0, hi] with lin < 0 the slice rises from its endpoint t = 0
+        # (infinite slope), turns down and has a second, interior local
+        # minimum.  Collect slices where that interior minimum lies above
+        # f(0), and ones where it lies below.
+        gen = np.random.default_rng(int(gamma * 1000))
+        seen = {"endpoint": 0, "interior": 0}
+        for _ in range(400):
+            base = gen.uniform(10.0, 100.0)
+            q, lam = gen.uniform(0.1, 5.0), gen.uniform(0.5, 5.0)
+            lin = -gen.uniform(0.0, 10.0)
+            lo, hi = (0.0, gen.uniform(1.0, 6.0)) if gen.random() < 0.5 else (
+                -gen.uniform(1.0, 6.0), gen.uniform(1.0, 6.0)
+            )
+            t_grid, vals = slice_on_grid(base, lin, q, lam, gamma, lo, hi)
+            inner = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
+            inner = inner[t_grid[inner] > 0.0]
+            if inner.size != 1:
+                continue
+            kind = "endpoint" if vals[inner[0]] > base else "interior"  # f(0) = base
+            seen[kind] += 1
+            t, ft = _slice_min(base, lin, q, lam, gamma, lo, hi)
+            assert ft <= vals.min() + 1e-13 * abs(vals.min())
+            if kind == "endpoint" and lo == 0.0:
+                assert t == 0.0
+            if kind == "interior":
+                assert t == pytest.approx(t_grid[inner[0]], abs=2.0 * (hi - lo) / 50_000)
+        assert seen["endpoint"] >= 10 and seen["interior"] >= 10
+
+
+class TestSoftThreshold:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_orthogonal_design_gives_soft_threshold(self, seed):
+        # gamma = 1 with X'X = diag(Q_jj): the criterion separates by
+        # coordinate and each minimizer is
+        # sign(c_j) max(|c_j| - lam / 2, 0) / Q_jj with c = X'y.
+        n = 40
+        gen = np.random.default_rng(seed)
+        raw = gen.standard_normal((n, 2))
+        raw -= raw.mean(axis=0)
+        X = np.linalg.qr(raw)[0] * np.array([4.0, 3.0])
+        X -= X.mean(axis=0)
+        cfg = LassoConfig(design=X, beta_true=[1.0, 0.0], gamma=1.0, lambda0=1.5)
+        # odd seeds: a negative second coefficient that survives the threshold
+        y = X @ np.array([0.8, -0.9 if seed % 2 else 0.02]) + 0.3 * gen.standard_normal(n)
+        c, q = X.T @ y, np.diag(X.T @ X)
+        lam = cfg.lambda_n
+        expected = np.sign(c) * np.maximum(np.abs(c) - lam / 2.0, 0.0) / q
+        fit = fit_bridge_lasso(y, cfg)
+        assert fit.zero_flags.tolist() == (expected == 0.0).tolist()
+        np.testing.assert_allclose(fit.alpha_hat, expected, rtol=1e-12, atol=1e-12)
 
 
 def dense_grid_min_3d(y, cfg, points=201):
