@@ -35,6 +35,7 @@ from .estimators import (
 )
 from .harness import EXPERIMENTS, fit_rate, ks_two_sample, run_cells, zero_fraction
 from .limits import (
+    KMEANS_LIMIT_INPUTS,
     ChernoffConfig,
     _linearization_gate,
     chernoff_scale,
@@ -97,8 +98,8 @@ class TierParams:
     kmeans_ks_n: int
     kmeans_ks_replicates: int
     kmeans_ks_tol: float
-    kmeans_cov_samples: int
     # oracle equivalences
+    kmeans_cov_samples: int
     oracle_shorth_instances: int
     oracle_lasso_instances: int
     oracle_tstar_instances: int
@@ -404,10 +405,14 @@ def check_kmeans_split(tier: TierParams, seed: int, workers: int = 1) -> CheckRe
 
 
 def check_kmeans_limits(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
+    """Rescaled delta_s and delta_d errors at n = ``kmeans_ks_n`` against
+    draws of the two-stage limit with its exact score covariance 4 I
+    (``KMEANS_LIMIT_INPUTS``, checked by ``oracle-score-linearization``)."""
     n = tier.kmeans_ks_n
     recs = run_cells("kmeans", [n], tier.kmeans_ks_replicates, seed + 6, None, workers)
-    inputs = estimate_kmeans_cov(tier.kmeans_cov_samples, SeedStream(seed, 999))
-    draws = sample_kmeans_limit(inputs, SeedStream(seed, 1000), tier.kmeans_ks_replicates)
+    draws = sample_kmeans_limit(
+        KMEANS_LIMIT_INPUTS, SeedStream(seed, 1000), tier.kmeans_ks_replicates
+    )
     emp_ds = np.array([n**0.25 * r.error for r in recs if r.component == "delta_s"])
     emp_dd = np.array([math.sqrt(n) * r.error for r in recs if r.component == "delta_d"])
     ks_ds = ks_two_sample(emp_ds, draws[:, 0])
@@ -458,7 +463,11 @@ def check_oracle_shorth(tier: TierParams, seed: int) -> CheckResult:
 
 
 def check_oracle_lasso(tier: TierParams, seed: int) -> CheckResult:
-    worst = 0.0
+    """The solver's criterion against the 2001^2 grid minimum.  The worst
+    relative gap (fit - grid)/|grid| is signed: negative when the solver
+    beats the grid on every instance."""
+    worst = -math.inf
+    below = 0
     for trial in range(tier.oracle_lasso_instances):
         s = SeedStream(seed, 3000 + trial)
         X = generate_lasso_design(6, 2, s)
@@ -470,12 +479,16 @@ def check_oracle_lasso(tier: TierParams, seed: int) -> CheckResult:
         fit = fit_bridge_lasso(y, cfg)
         brute_val = _brute_lasso_value(y, cfg)
         worst = max(worst, (fit.criterion_value - brute_val) / abs(brute_val))
+        below += fit.criterion_value < brute_val
     return CheckResult(
         name="oracle-lasso-brute-force",
         passed=worst <= 1e-4,
-        measured={"worst_relative_gap": worst},
+        measured={"worst_relative_gap": worst, "instances_below_grid": below},
         threshold="relative criterion gap <= 1e-4 vs 2001^2 grid",
-        detail=f"worst relative gap = {worst:.2e}",
+        detail=(
+            f"worst relative gap = {worst:.2e}; {below} of "
+            f"{tier.oracle_lasso_instances} instances below the grid"
+        ),
     )
 
 
@@ -551,14 +564,52 @@ def check_oracle_chernoff_scaling(tier: TierParams, seed: int) -> CheckResult:
     )
 
 
+# Var(g_i g_j) of the products of the k-means scores, in the order
+# (delta_s, eps_d, delta_d, eps_s).  With u = |x| - 1 (E u^2 = 1, E u^4 = 9)
+# the scores are -2 sign(x) u, 2 y sign(x), 2u and -2y: the two spread scores
+# square to 4u^2 (variance 16 * 9 - 16 = 128) and to each other's product
+# -4 sign(x) u^2 (variance 144); the two offset scores square to exactly 4
+# (variance 0); every other product, +/-4yu, +/-4 sign(x) yu or -4 sign(x),
+# has mean 0 and second moment 16.
+_KMEANS_SCORE_PRODUCT_VAR = np.array([
+    [128.0, 16.0, 144.0, 16.0],
+    [16.0, 0.0, 16.0, 16.0],
+    [144.0, 16.0, 128.0, 16.0],
+    [16.0, 16.0, 16.0, 0.0],
+])
+
+
 def check_oracle_linearization(tier: TierParams, seed: int) -> CheckResult:
+    """The k-means scores are what the exact covariance 4 I of the limit
+    rests on.  Central finite differences of the empirical criterion must
+    match the score-based directional derivatives to 1e-2 relative
+    (``_linearization_gate``, stream 888).  And the Monte Carlo estimate of
+    E[score score'] from ``kmeans_cov_samples`` points (stream 999) must lie
+    within 5 sd of ``KMEANS_LIMIT_INPUTS`` in every entry, each sd taken
+    from the closed-form fourth moments ``_KMEANS_SCORE_PRODUCT_VAR`` with a
+    1e-12 floor for the two entries whose scores square to exactly 4."""
     worst = _linearization_gate(SeedStream(seed, 888).child("gate"))
+    samples = tier.kmeans_cov_samples
+    estimate = estimate_kmeans_cov(samples, SeedStream(seed, 999)).Sigma.entries
+    sd = np.maximum(np.sqrt(_KMEANS_SCORE_PRODUCT_VAR / samples), 1e-12)
+    deviation_sd = float(np.max(np.abs(estimate - KMEANS_LIMIT_INPUTS.Sigma.entries) / sd))
     return CheckResult(
         name="oracle-score-linearization",
-        passed=worst <= 1e-2,
-        measured={"worst_relative_error": worst},
-        threshold="finite differences match scores to 1e-2 relative",
-        detail=f"worst relative error = {worst:.2e}",
+        passed=worst <= 1e-2 and deviation_sd <= 5.0,
+        measured={
+            "worst_relative_error": worst,
+            "cov_samples": samples,
+            "worst_cov_deviation_sd": deviation_sd,
+            "cov_diagonal": np.diag(estimate).tolist(),
+        },
+        threshold=(
+            "finite differences match scores to 1e-2 relative; "
+            "score covariance estimate within 5 sd of 4 I"
+        ),
+        detail=(
+            f"worst relative error = {worst:.2e}; covariance estimate from {samples} "
+            f"points at most {deviation_sd:.2f} sd from 4 I"
+        ),
     )
 
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -31,8 +34,8 @@ from .harness import (
     run_ladder,
 )
 from .limits import (
+    KMEANS_LIMIT_INPUTS,
     ChernoffConfig,
-    estimate_kmeans_cov,
     sample_chernoff_argmax,
     sample_kmeans_limit,
     sample_lasso_limits,
@@ -57,6 +60,32 @@ class ConfigError(ValueError):
     pass
 
 
+def _git_revision() -> str | None:
+    """HEAD of the checkout this package was loaded from, or None when git
+    is missing or the package does not sit in a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
+def _environment() -> dict:
+    return {
+        "mixedrates": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "git_revision": _git_revision(),
+    }
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run bit-for-bit on the same build,
@@ -70,10 +99,12 @@ class RunManifest:
     finished: str
     checks: list
     outputs: list
+    environment: dict = field(default_factory=_environment)
 
     def as_dict(self) -> dict:
         return {
             "version": self.version,
+            "environment": self.environment,
             "command": self.command,
             "config": _jsonable(self.config),
             "master_seed": self.master_seed,
@@ -333,8 +364,7 @@ def _limit_rows(args, stream):
         draws = sample_lasso_limits(args.c11, args.lambda0, args.sigma, stream, args.draws)
         return [("index", "u")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     # --law kmeans, the last of the parser's choices
-    inputs = estimate_kmeans_cov(args.cov_samples, stream.child("cov"))
-    draws = sample_kmeans_limit(inputs, stream, args.draws)
+    draws = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, stream, args.draws)
     rows = [("index", "delta_s", "eps_d", "delta_d", "eps_s")]
     rows += [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(draws)]
     return rows
@@ -472,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--c11", type=float, default=1.0 / 3.0, help="design curvature")
     p_lim.add_argument("--lambda0", type=float, default=2.0)
     p_lim.add_argument("--sigma", type=float, default=1.0)
-    p_lim.add_argument("--cov-samples", type=int, default=1_000_000)
+    # Sigma is exact (KMEANS_LIMIT_INPUTS): the flag is accepted for old
+    # command lines and ignored
+    p_lim.add_argument("--cov-samples", type=int, help=argparse.SUPPRESS)
     p_lim.set_defaults(func=_cmd_limit)
 
     p_ver = sub.add_parser("verify", help="run the acceptance checks")

@@ -36,10 +36,9 @@ from .estimators import (
     shorth_population,
 )
 from .limits import (
+    KMEANS_LIMIT_INPUTS,
     BoundaryHitError,
     ChernoffConfig,
-    LinearizationGateError,
-    estimate_kmeans_cov,
     kmeans_two_line_sample,
     sample_chernoff_argmax,
     sample_kmeans_limit,
@@ -215,11 +214,13 @@ def _shorth_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.nd
 
 
 def _kmeans_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
-    """The score covariance is estimated once per run; each component takes
-    its column of draws from its own stream."""
-    inputs = estimate_kmeans_cov(1_000_000, _limit_stream(master_seed, "kmeans", "cov"))
+    """Draws from the two-stage limit with its exact score covariance 4 I
+    (``KMEANS_LIMIT_INPUTS``); each component takes its column of draws
+    from its own stream."""
     return {
-        comp: sample_kmeans_limit(inputs, _limit_stream(master_seed, "kmeans", comp), draws)[:, j]
+        comp: sample_kmeans_limit(
+            KMEANS_LIMIT_INPUTS, _limit_stream(master_seed, "kmeans", comp), draws
+        )[:, j]
         for j, comp in enumerate(EXPERIMENTS["kmeans"].components)
     }
 
@@ -350,7 +351,7 @@ class LadderConfig:
 
 # The declared numerical failures of a replicate.  Any other exception is a
 # programming error and propagates out of run_cells.
-_NUMERICAL_FAILURES = (DesignError, SearchBoxError, LinearizationGateError, BoundaryHitError)
+_NUMERICAL_FAILURES = (DesignError, SearchBoxError, BoundaryHitError)
 
 
 def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:

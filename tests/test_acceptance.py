@@ -13,10 +13,14 @@ Var Z = 1/2 Gaussian, both of which the simulated law rejects.
 
 import math
 import os
+from dataclasses import replace
 
+import numpy as np
 from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
+from mixedrates.distributions import CovMatrix, SeedStream
+from mixedrates.limits import KmeansLimitInputs, kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
 TIER = acc.FULL
@@ -107,6 +111,37 @@ def test_criterion_9_oracle_chernoff_scaling_rejects_unit_factor(monkeypatch):
     res = report(acc.check_oracle_chernoff_scaling(TIER, SEED))
     assert res.measured["factor"] == 1.0
     assert not res.passed, res.detail
+
+
+def test_criterion_9_oracle_score_linearization_rejects_covariance_off_by_ten_percent(
+    monkeypatch,
+):
+    monkeypatch.setattr(
+        acc, "KMEANS_LIMIT_INPUTS", KmeansLimitInputs(Sigma=CovMatrix(4.4 * np.eye(4)))
+    )
+    res = report(acc.check_oracle_linearization(TIER, SEED))
+    assert res.measured["worst_relative_error"] <= 1e-2
+    assert res.measured["worst_cov_deviation_sd"] > 5.0
+    assert not res.passed, res.detail
+
+
+def test_score_product_variances_match_closed_form():
+    # Var(g_i g_j) from 500000 draws against the table the covariance check
+    # takes its sd from; the 144 and 128 entries rest on E u^4 = 9, whose
+    # estimate has relative sd 0.02 here
+    s = kmeans_scores(kmeans_two_line_sample(500_000, SeedStream(41, 0)))
+    measured = np.array([[np.var(s[:, i] * s[:, j]) for j in range(4)] for i in range(4)])
+    np.testing.assert_allclose(measured, acc._KMEANS_SCORE_PRODUCT_VAR, rtol=0.1, atol=0.0)
+
+
+def test_oracle_lasso_reports_signed_gap():
+    # at seed 1733 the one instance's fit, (0, 0.997), lies between grid
+    # points and below the grid minimum; a fit at the origin, itself a grid
+    # point, would tie the grid and read 0
+    res = acc.check_oracle_lasso(replace(acc.QUICK, oracle_lasso_instances=1), 1733)
+    assert res.measured["worst_relative_gap"] < 0.0
+    assert res.measured["instances_below_grid"] == 1
+    assert res.passed
 
 
 def test_shorth_r_ks_tolerance_above_null_99th_percentile():

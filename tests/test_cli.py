@@ -1,11 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mixedrates import acceptance, cli, harness
+import mixedrates
+from mixedrates import acceptance, cli, limits
 from mixedrates.acceptance import CheckResult
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import SearchBoxError
@@ -138,9 +144,10 @@ class TestSimulateCommand:
 
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
-    """One small simulate run per experiment, counting covariance estimates."""
+    """One small simulate run per experiment, counting covariance estimates
+    made through any module that holds ``limits.estimate_kmeans_cov``."""
     calls = []
-    real = harness.estimate_kmeans_cov
+    real = limits.estimate_kmeans_cov
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -148,7 +155,9 @@ def small_runs(tmp_path_factory):
 
     outs = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "estimate_kmeans_cov", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mixedrates") and getattr(module, "estimate_kmeans_cov", None) is real:
+                mp.setattr(module, "estimate_kmeans_cov", counting)
         for experiment in EXPERIMENTS:
             out = tmp_path_factory.mktemp(experiment)
             argv = [
@@ -169,11 +178,41 @@ def test_every_record_error_is_a_number(small_runs, experiment):
         float(row.split(",")[4])
 
 
-def test_kmeans_covariance_estimated_once_per_summary(small_runs):
+def test_kmeans_covariance_never_estimated_in_summary(small_runs):
+    # the limit draws use the exact covariance 4 I
     outs, cov_calls = small_runs
     summary = json.loads((outs["kmeans"] / "summary.json").read_text())
     assert len(summary["ks_vs_limit"]) == 4
-    assert cov_calls == 1
+    assert cov_calls == 0
+
+
+def test_manifests_carry_environment(small_runs, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(
+        acceptance, "_check_list",
+        lambda tier, master_seed, workers: [acceptance.check_rate_calculus],
+    )
+    assert run_cli(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
+    outs, _ = small_runs
+    for path in (outs["kmeans"] / "manifest.json", tmp_path / "manifest.json"):
+        env = json.loads(path.read_text())["environment"]
+        assert env["mixedrates"] == mixedrates.__version__
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["platform"]
+        assert env["git_revision"] is None or len(env["git_revision"]) >= 40
+
+
+def test_git_revision_is_none_without_git_or_checkout(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(cli.subprocess, "run", missing)
+    assert cli._git_revision() is None
+    outside = subprocess.CompletedProcess([], 128, stdout="", stderr="fatal: not a git repository")
+    monkeypatch.setattr(cli.subprocess, "run", lambda *args, **kwargs: outside)
+    assert cli._git_revision() is None
+    assert cli._environment()["git_revision"] is None
 
 
 # sha256 of every output of the small_runs fixture but manifest.json, which
@@ -196,13 +235,13 @@ SMALL_RUN_DIGESTS = {
     },
     "kmeans": {
         "plotdata/delta_d_loglog.csv": "acd359824231bca3a3e54e4a2235dc80b3b644e126af41b89c41cec4d3c7bb61",
-        "plotdata/delta_d_rescaled_vs_limit.csv": "dbef7568d5c7cd7fcd300954c1ec8bf06bfebcd1fe3a5289d8971375400a534d",
+        "plotdata/delta_d_rescaled_vs_limit.csv": "abfbeb35a8c9c800249e8e7ecd4b67628a1937b045129918409ffb2097fe3734",
         "plotdata/delta_s_loglog.csv": "f2bc0d8203fe6ad35a1249d4e13e4a8522b5cc8193abfd0f63bae0c2b5ac506a",
-        "plotdata/delta_s_rescaled_vs_limit.csv": "17be3ad77907ea3dcb87b3f0150cd54d94cb2938da3c948e0b1b77ed69ec633f",
+        "plotdata/delta_s_rescaled_vs_limit.csv": "d053b986cce1b02d60c2ecf58594bba97b265fca3b1cf97ac24581e8e7279c38",
         "plotdata/eps_d_loglog.csv": "35c6d1c9c6d2e3e5d59743038500eec94c68a2da81d7484e3b07fda1f81aed21",
-        "plotdata/eps_d_rescaled_vs_limit.csv": "6bf64a8f5dfe6aa2e89033ae3a62cafa9b320139a6c0206939203c20a31a2c80",
+        "plotdata/eps_d_rescaled_vs_limit.csv": "f7a22b1eb3b851a89b0f7243171cdfbc81dac1a7c6e6558168c0516a39745d96",
         "plotdata/eps_s_loglog.csv": "6593a34a51224e8c359b9851b34fcda04660592c425d9b64b162cfdb2d41f64c",
-        "plotdata/eps_s_rescaled_vs_limit.csv": "0b637a71e9ee44e5ab0de2d8b75d981b05b799176a1253cce102d345203be355",
+        "plotdata/eps_s_rescaled_vs_limit.csv": "ef1af840832712cda8bec02247d49ecd8eee7766ebc29c8f2b353bcc22401da9",
         "records.csv": "091c055634485f7173387b5d0320cea9467194fa2787b0ebf3618351b793b679",
         "summary.json": "aa780cca1f00b918cb2117ef8026f7e0aac9ea3cefcaf5126f1557eead5e7214",
     },
@@ -314,6 +353,17 @@ class TestLimitCommand:
     def test_law_and_dump_are_exclusive(self, capsys):
         assert run_cli(["limit", "--law", "chernoff", "--dump-sample", "two-line"]) == 2
         assert run_cli(["limit"]) == 2
+
+    def test_kmeans_ignores_cov_samples(self, tmp_path, capsys):
+        # Sigma is exact: the old flag still parses and changes nothing
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        argv = ["limit", "--law", "kmeans", "--draws", "20", "--seed", "5"]
+        assert run_cli([*argv, "--out", str(plain)]) == 0
+        assert run_cli([*argv, "--cov-samples", "2000000", "--out", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+        lines = plain.read_text().splitlines()
+        assert lines[0] == "index,delta_s,eps_d,delta_d,eps_s"
+        assert len(lines) == 21
 
     def test_deterministic_output(self, capsys):
         run_cli(["limit", "--law", "lasso-first", "--draws", "10", "--seed", "5"])

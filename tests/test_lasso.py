@@ -30,8 +30,12 @@ def criterion_value(alpha, y, config):
 
 
 def brute_force_minimum(y, cfg, points=2001):
-    """Dense-grid oracle over the solver's own search box, zero lines included."""
-    ols, lo, hi = search_box(y, cfg.design)
+    """Dense-grid oracle over the solver's own search box, zero lines included.
+
+    With a = (a1, a2) the criterion is y'y + u1(a1) + u2(a2) + 2 Q12 a1 a2,
+    u_j(a) = Q_jj a^2 - 2 (X'y)_j a + lambda |a|^gamma: each block of grid
+    rows is one outer product plus the two per-axis terms."""
+    _, lo, hi = search_box(y, cfg.design)
     axes = []
     for j in range(2):
         g = np.linspace(lo[j], hi[j], points)
@@ -39,21 +43,18 @@ def brute_force_minimum(y, cfg, points=2001):
             g = np.sort(np.append(g, 0.0))
         axes.append(g)
     X = cfg.design
-    xtx, xty, yty = X.T @ X, X.T @ y, float(y @ y)
-    best_val, best_pt = math.inf, None
-    for g1_chunk in np.array_split(axes[0], 8):
-        A1, A2 = np.meshgrid(g1_chunk, axes[1], indexing="ij")
-        A = np.column_stack([A1.ravel(), A2.ravel()])
-        vals = (
-            yty
-            - 2.0 * (A @ xty)
-            + np.einsum("ij,jk,ik->i", A, xtx, A)
-            + cfg.lambda_n * np.sum(np.abs(A) ** cfg.gamma, axis=1)
-        )
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pt = float(vals[i]), A[i]
-    return best_pt, best_val
+    xtx, xty = X.T @ X, X.T @ y
+    u = [
+        xtx[j, j] * a * a - 2.0 * xty[j] * a + cfg.lambda_n * np.abs(a) ** cfg.gamma
+        for j, a in enumerate(axes)
+    ]
+    best = math.inf
+    for a1, u1 in zip(np.array_split(axes[0], 8), np.array_split(u[0], 8)):
+        vals = np.outer(2.0 * xtx[0, 1] * a1, axes[1])
+        vals += u1[:, None]
+        vals += u[1]
+        best = min(best, float(vals.min()))
+    return float(y @ y) + best
 
 
 def make_instance(n, seed, lambda0=2.0, sigma=1.0):
@@ -107,7 +108,7 @@ class TestBridgeLassoSolver:
     def test_matches_dense_grid_oracle(self, seed):
         y, cfg = make_instance(6, 100 + seed)
         fit = fit_bridge_lasso(y, cfg)
-        _, brute_val = brute_force_minimum(y, cfg)
+        brute_val = brute_force_minimum(y, cfg)
         rel_gap = (fit.criterion_value - brute_val) / abs(brute_val)
         assert rel_gap <= 1e-4
 

@@ -9,7 +9,6 @@ from scipy.special import airy
 from scipy.stats import kstwobign
 
 from mixedrates.distributions import (
-    CovMatrix,
     SeedStream,
     _two_sided_values,
     _validate_grid,
@@ -19,9 +18,9 @@ from mixedrates.estimators import shorth_population
 from mixedrates.harness import ks_two_sample
 from mixedrates.limits import (
     GRID_MAX_SHIFT,
+    KMEANS_LIMIT_INPUTS,
     BoundaryHitError,
     ChernoffConfig,
-    KmeansLimitInputs,
     LinearizationGateError,
     _chernoff_argmax_and_max,
     _linearization_gate,
@@ -364,22 +363,26 @@ class TestKmeansScores:
         with pytest.raises(LinearizationGateError):
             L._linearization_gate(SeedStream(32, 1).child("gate"))
 
+    def test_exact_covariance_is_four_identity(self):
+        assert np.array_equal(KMEANS_LIMIT_INPUTS.Sigma.entries, 4.0 * np.eye(4))
+
     def test_covariance_matches_hand_moments(self):
         # Var of each score is 4: the spread scores give
         # 4 E (|x|-1)^2 = 4 (E x^2 - 2 E|x| + 1) = 4 under the double
         # exponential; the offset scores give 4 E y^2 = 4 with y = +/-1
         inputs = estimate_kmeans_cov(2_000_000, SeedStream(32, 2))
-        sigma = inputs.Sigma.entries
-        assert np.max(np.abs(np.diag(sigma) - 4.0)) < 0.03
-        off = sigma[~np.eye(4, dtype=bool)]
-        assert np.max(np.abs(off)) < 0.03
+        exact = KMEANS_LIMIT_INPUTS.Sigma.entries
+        assert np.max(np.abs(np.diag(inputs.Sigma.entries - exact))) < 0.03
+        off = ~np.eye(4, dtype=bool)
+        assert np.max(np.abs((inputs.Sigma.entries - exact)[off])) < 0.03
 
     def test_covariance_self_consistent_when_doubling(self):
-        a = estimate_kmeans_cov(1_000_000, SeedStream(32, 3)).Sigma.entries
-        b = estimate_kmeans_cov(4_000_000, SeedStream(32, 3)).Sigma.entries
+        exact = KMEANS_LIMIT_INPUTS.Sigma.entries
         # 3 Monte Carlo standard errors of a variance-of-scores entry
         se = 3.0 * math.sqrt(128.0 / 1_000_000)
-        assert np.max(np.abs(a - b)) < 3.0 * se
+        for samples in (1_000_000, 4_000_000):
+            estimate = estimate_kmeans_cov(samples, SeedStream(32, 3)).Sigma.entries
+            assert np.max(np.abs(estimate - exact)) < 3.0 * se
 
     def test_scores_mean_zero(self):
         pts = kmeans_two_line_sample(1_000_000, SeedStream(32, 4))
@@ -457,18 +460,16 @@ class TestKmeansLimit:
         assert np.allclose(s_flip1, [s[0], -s[1]], rtol=0, atol=1e-15)
 
     def test_draws_match_per_draw_grid_oracle(self):
-        inputs = KmeansLimitInputs(Sigma=CovMatrix(4.0 * np.eye(4)))
-        draws = sample_kmeans_limit(inputs, SeedStream(33, 5), 60)
-        z = sample_gaussian_vector(inputs.Sigma, SeedStream(33, 5), draws=60)
+        draws = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 5), 60)
+        z = sample_gaussian_vector(KMEANS_LIMIT_INPUTS.Sigma, SeedStream(33, 5), draws=60)
         for d, zi in zip(draws, z):
             s = grid_solve_slow_block(zi[:2])
             assert np.allclose(d[:2], s, rtol=0, atol=1e-6)
             assert np.allclose(d[2:], fast_block_closed_form(s, zi[2:]), rtol=0, atol=1e-6)
 
     def test_draws_shape_and_determinism(self):
-        inputs = KmeansLimitInputs(Sigma=CovMatrix(4.0 * np.eye(4)))
-        a = sample_kmeans_limit(inputs, SeedStream(33, 3), 50)
-        b = sample_kmeans_limit(inputs, SeedStream(33, 3), 50)
+        a = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 3), 50)
+        b = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 3), 50)
         assert a.shape == (50, 4)
         assert np.array_equal(a, b)
 
