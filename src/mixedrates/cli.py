@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier_group.add_argument("--quick", action="store_true", help="reduced-scale tier (default)")
     tier_group.add_argument(
         "--full", action="store_true",
-        help="binding thresholds, ~25 s at --threads 2 on 2 cores",
+        help="binding thresholds, ~20 s at --threads 2 on 2 cores",
     )
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--threads", type=int, default=1)

@@ -10,7 +10,13 @@ from .lasso import (
     generate_lasso_design,
     search_box,
 )
-from .shorth import ShorthFit, ShorthPopulation, fit_shorth, shorth_population
+from .shorth import (
+    ShorthFit,
+    ShorthPopulation,
+    fit_shorth,
+    fit_shorth_sorted,
+    shorth_population,
+)
 from .kmeans import (
     INIT_CENTERS,
     KmeansCoords,
@@ -34,6 +40,7 @@ __all__ = [
     "ShorthFit",
     "ShorthPopulation",
     "fit_shorth",
+    "fit_shorth_sorted",
     "shorth_population",
     "INIT_CENTERS",
     "KmeansCoords",

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ShorthFit", "ShorthPopulation", "fit_shorth", "shorth_population"]
+__all__ = [
+    "ShorthFit",
+    "ShorthPopulation",
+    "fit_shorth",
+    "fit_shorth_sorted",
+    "shorth_population",
+]
 
 
 @dataclass(frozen=True)
@@ -28,14 +34,20 @@ def fit_shorth(sample: np.ndarray) -> ShorthFit:
     """Scan the k-point windows of the sorted sample (k = ceil(n/2)) and
     return the narrowest one, ties broken toward the leftmost window.
 
-    Cost is O(n log n) for the sort plus one vectorized sweep.
+    Cost is O(n log n) for the sort plus one vectorized sweep.  The sort
+    works on a copy, so ``sample`` is left unchanged.
     """
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    n = x.size
+    return fit_shorth_sorted(np.sort(np.asarray(sample, dtype=np.float64).ravel()))
+
+
+def fit_shorth_sorted(xs: np.ndarray) -> ShorthFit:
+    """``fit_shorth`` of a sample already sorted ascending, as a float64
+    array: the window sweep alone, with no sort and no copy.  A caller that
+    owns its draw sorts it in place (``data.sort()``) and calls this."""
+    n = xs.size
     if n < 2:
         raise ValueError("need at least two observations")
-    xs = np.sort(x)
-    # np.sort puts -inf first and inf and NaN last, so the ends show them
+    # sorting puts -inf first and inf and NaN last, so the ends show them
     if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
         raise ValueError("sample contains non-finite values")
     k = (n + 1) // 2  # ceil(n/2)

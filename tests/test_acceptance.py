@@ -88,6 +88,8 @@ def test_criterion_9_oracle_shorth_brute_force():
 def test_criterion_9_oracle_lasso_brute_force():
     res = report(acc.check_oracle_lasso(TIER, SEED))
     assert res.passed, res.detail
+    # a fit at the origin ties the grid by construction and tests little
+    assert res.measured["instances_off_origin"] >= TIER.oracle_lasso_instances / 2
 
 
 def test_criterion_9_oracle_kmeans_fast_block():

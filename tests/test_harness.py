@@ -89,6 +89,20 @@ class TestRunLadder:
         recs = run_cells("kmeans", [500], 50, 5)
         assert all(r.choice in ("cv", "ch") for r in recs)
 
+    def test_shorth_records_match_fit_shorth_on_the_same_draw(self):
+        from mixedrates.estimators import fit_shorth, shorth_population
+        from mixedrates.harness import _replicate_stream
+
+        # the runner sorts its draw in place and calls the sorted kernel
+        pop = shorth_population()
+        recs = run_cells("shorth", [101, 64000], 3, 11)
+        cells = [(n, r) for n in (101, 64000) for r in range(3)]
+        for (n, r), m, rr in zip(cells, recs[::2], recs[1::2], strict=True):
+            data = _replicate_stream(11, "shorth", n, r, "data").generator().standard_normal(n)
+            fit = fit_shorth(data)
+            assert (m.n, m.replicate, m.component, rr.component) == (n, r, "m", "r")
+            assert (m.error, rr.error) == (fit.m - pop.mu, fit.r - pop.rho)
+
     def test_design_mode_stream_sharing(self):
         from mixedrates.harness import _lasso_design_stream
 

@@ -49,6 +49,35 @@ def full_pattern_search(points, centers, step, rounds=40):
     return cur, best, last_move
 
 
+def round_by_round_search(points, centers, step, rounds=40):
+    """The band polish one round per ``candidate_values([step])`` call: the
+    per-round loop that ``_pattern_search`` batches.  Returns (centers,
+    value)."""
+    band = kmeans._Band(points, centers, rounds * step)
+    best = band.value
+    cur = centers.copy()
+    for _ in range(rounds):
+        best_move, best_val = None, best
+        noise = 1e-12 * (1.0 + abs(best))
+        for move, val in enumerate(band.candidate_values([step]).ravel().tolist()):
+            if val < best_val - noise:
+                best_move, best_val = move, val
+        if best_move is None:
+            step *= 0.5
+        else:
+            j, k, sign = np.unravel_index(best_move, (2, 2, 2))
+            cur[j, k] += step if sign == 0 else -step
+            band.move_to(cur)
+            best = best_val
+    return cur, best
+
+
+def assert_same_bits(got, want):
+    (got_c, got_v), (want_c, want_v) = got, want
+    assert got_c.tobytes() == want_c.tobytes()
+    assert np.float64(got_v).tobytes() == np.float64(want_v).tobytes()
+
+
 def lloyd_centers(points, init):
     return kmeans._lloyd(points, init)[0]
 
@@ -183,7 +212,7 @@ class TestKernels:
                     offset = gen.uniform(-reach, reach, size=(2, 2))
                 cur = start + offset
                 band.move_to(cur)
-                got = band.candidate_values(step)
+                got = band.candidate_values([step])[0]
                 for j in (0, 1):
                     for k in (0, 1):
                         for s, delta in enumerate((step, -step)):
@@ -202,6 +231,10 @@ class TestKernels:
                 want, want_val, _ = full_pattern_search(pts, start, polish_step(n))
                 assert np.max(np.abs(got - want)) <= 1e-12
                 assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
+                # batching the rounds changes no bit
+                assert_same_bits(
+                    (got, got_val), round_by_round_search(pts, start, polish_step(n))
+                )
 
     @pytest.mark.parametrize("n, r", [(16000, 22), (16000, 51), (1000, 32)])
     @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -2e3), (-5e4, 3e4)])
@@ -217,6 +250,24 @@ class TestKernels:
         got, got_val = kmeans._pattern_search(pts, start, polish_step(n))
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(offset)))
         assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
+        assert_same_bits((got, got_val), round_by_round_search(pts, start, polish_step(n)))
+
+
+class TestReflection:
+    @pytest.mark.parametrize("n", [1000, 4000, 16000])
+    def test_reflection_negates_delta_s(self, n):
+        # the two-line law is symmetric under x -> -x (cv start) and
+        # y -> -y (ch start), which maps delta_s to -delta_s
+        worst = 0.0
+        for r in range(100):
+            pts = kmeans_two_line_sample(n, SeedStream(77, r))
+            for init, axis in (("cv", 0), ("ch", 1)):
+                mirrored = pts.copy()
+                mirrored[:, axis] *= -1.0
+                a = fit_kmeans2(pts, init)
+                b = fit_kmeans2(mirrored, init)
+                worst = max(worst, n**0.25 * abs(a.delta_s + b.delta_s))
+        assert worst < 1e-6
 
 
 class TestCoordinateTransform:
