@@ -234,16 +234,16 @@ SMALL_RUN_DIGESTS = {
         "summary.json": "c67aceac91c1cc3fc6831b778b132045bcc929969176eb033a083356eee0ecc7",
     },
     "kmeans": {
-        "plotdata/delta_d_loglog.csv": "acd359824231bca3a3e54e4a2235dc80b3b644e126af41b89c41cec4d3c7bb61",
-        "plotdata/delta_d_rescaled_vs_limit.csv": "abfbeb35a8c9c800249e8e7ecd4b67628a1937b045129918409ffb2097fe3734",
-        "plotdata/delta_s_loglog.csv": "f2bc0d8203fe6ad35a1249d4e13e4a8522b5cc8193abfd0f63bae0c2b5ac506a",
-        "plotdata/delta_s_rescaled_vs_limit.csv": "d053b986cce1b02d60c2ecf58594bba97b265fca3b1cf97ac24581e8e7279c38",
-        "plotdata/eps_d_loglog.csv": "35c6d1c9c6d2e3e5d59743038500eec94c68a2da81d7484e3b07fda1f81aed21",
-        "plotdata/eps_d_rescaled_vs_limit.csv": "f7a22b1eb3b851a89b0f7243171cdfbc81dac1a7c6e6558168c0516a39745d96",
-        "plotdata/eps_s_loglog.csv": "6593a34a51224e8c359b9851b34fcda04660592c425d9b64b162cfdb2d41f64c",
-        "plotdata/eps_s_rescaled_vs_limit.csv": "ef1af840832712cda8bec02247d49ecd8eee7766ebc29c8f2b353bcc22401da9",
-        "records.csv": "091c055634485f7173387b5d0320cea9467194fa2787b0ebf3618351b793b679",
-        "summary.json": "aa780cca1f00b918cb2117ef8026f7e0aac9ea3cefcaf5126f1557eead5e7214",
+        "plotdata/delta_d_loglog.csv": "753d49fe84e15f8b4c8a147354a2e89aa1162f15301efdbe050e84338e54f9fa",
+        "plotdata/delta_d_rescaled_vs_limit.csv": "0623accd85b64422f31c1b984388d819960f1f5786fc5ddc9311da234e83e57a",
+        "plotdata/delta_s_loglog.csv": "c7f84a858387648b57065a4de24f082ff4b7e1896f4931645cc2858f741c445e",
+        "plotdata/delta_s_rescaled_vs_limit.csv": "9dcc2a0de0aaedf685a6591f0b7b09ad7e5407feff2f3aae11438f1a73148a68",
+        "plotdata/eps_d_loglog.csv": "b5006d49ec08f557cda87795bf11372d62af74e227d753ff6465999b72ecfcd5",
+        "plotdata/eps_d_rescaled_vs_limit.csv": "41e85ae44099e38a60b033103f376cad5cdfc9f46e4311f7e8327556891538e9",
+        "plotdata/eps_s_loglog.csv": "45464ae7319b283582efc82b2f3b91d1f5e7e47b29523560b0d497a904eeb9f7",
+        "plotdata/eps_s_rescaled_vs_limit.csv": "6f7fda6aabf1ab6f19548d5ffc52d9d3a4910d07e2538125a62d730c2a613cff",
+        "records.csv": "148568a497d01e2a96b63865ba0593efc682dd21a672738f9ef50cefbac91249",
+        "summary.json": "5bbf9cfd194e08a5f275a2cc106d077438a8dac15f033f38c72cedace08266ff",
     },
 }
 

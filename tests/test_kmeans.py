@@ -20,8 +20,10 @@ SYMMETRIC4 = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
 
 def full_pattern_search(points, centers, step, rounds=40):
-    """Reference compass search: every candidate is a pass over the whole
-    sample.  Returns (centers, value, index of the last round that moved)."""
+    """The capped compass search on the four center coordinates that the fit
+    once ended with, every candidate a pass over the whole sample: the
+    reference the transfer search must match or beat.  Returns (centers,
+    value, index of the last round that moved)."""
     d = [np.sum((points - centers[j]) ** 2, axis=1) for j in (0, 1)]
     best = float(np.minimum(d[0], d[1]).mean())
     cur = centers.copy()
@@ -49,37 +51,40 @@ def full_pattern_search(points, centers, step, rounds=40):
     return cur, best, last_move
 
 
-def round_by_round_search(points, centers, step, rounds=40):
-    """The band polish one round per ``candidate_values([step])`` call: the
-    per-round loop that ``_pattern_search`` batches.  Returns (centers,
-    value)."""
-    band = kmeans._Band(points, centers, rounds * step)
-    best = band.value
-    cur = centers.copy()
-    for _ in range(rounds):
-        best_move, best_val = None, best
-        noise = 1e-12 * (1.0 + abs(best))
-        for move, val in enumerate(band.candidate_values([step]).ravel().tolist()):
-            if val < best_val - noise:
-                best_move, best_val = move, val
-        if best_move is None:
-            step *= 0.5
-        else:
-            j, k, sign = np.unravel_index(best_move, (2, 2, 2))
-            cur[j, k] += step if sign == 0 else -step
-            band.move_to(cur)
-            best = best_val
-    return cur, best
-
-
-def assert_same_bits(got, want):
-    (got_c, got_v), (want_c, want_v) = got, want
-    assert got_c.tobytes() == want_c.tobytes()
-    assert np.float64(got_v).tobytes() == np.float64(want_v).tobytes()
-
-
 def lloyd_centers(points, init):
-    return kmeans._lloyd(points, init)[0]
+    return kmeans._lloyd(points, init)[1]
+
+
+def worst_transfer_drop(points, labels, chunk=200):
+    """Largest relative drop in the within-cluster sum of squares over every
+    partition that differs from ``labels`` in one point and leaves both
+    clusters non-empty.  Each partition's sum of squares is recomputed from
+    its masked means, without the closed-form transfer gain."""
+
+    def sum_of_squares(ones):  # ones[k, i]: point i in cluster 1 of partition k
+        out = 0.0
+        for weight in (ones, 1.0 - ones):
+            count = weight.sum(axis=1)
+            for v in points.T:
+                mean = (weight @ v) / count
+                out = out + (weight * (v - mean[:, None]) ** 2).sum(axis=1)
+        return out
+
+    ones = np.asarray(labels, dtype=np.float64)
+    base = sum_of_squares(ones[None])[0]
+    worst = -np.inf
+    for idx in np.array_split(np.arange(len(points)), max(1, len(points) // chunk)):
+        moved = np.repeat(ones[None], len(idx), axis=0)
+        moved[np.arange(len(idx)), idx] = 1.0 - ones[idx]
+        count1 = moved.sum(axis=1)
+        keep = (count1 > 0) & (count1 < len(points))
+        if keep.any():
+            worst = max(worst, np.max(base - sum_of_squares(moved[keep])) / base)
+    return worst
+
+
+def ladder_sample(n, r):
+    return kmeans_two_line_sample(n, _replicate_stream(1729, "kmeans", n, r, "data"))
 
 
 def polish_step(n):
@@ -191,66 +196,64 @@ class TestKernels:
         for j in (0, 1):
             assert np.allclose(new[j], pts[labels == j].mean(axis=0), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1000, 4000, 16000])
-    def test_band_candidate_values_match_full_criterion(self, n):
-        # centers within the search radius, the candidate moves included:
-        # random offsets and the corners of the box
-        pts = kmeans_two_line_sample(n, SeedStream(27, 2 + n))
-        gen = SeedStream(27, 3 + n).generator()
-        for init in ("cv", "ch"):
-            start = lloyd_centers(pts, init)
-            step0 = polish_step(n)
-            radius = 40 * step0
-            band = kmeans._Band(pts, start, radius)
-            assert band.value == within_ss(pts, start)
-            for trial in range(12):
-                step = step0 * 0.5 ** gen.integers(0, 6)
-                reach = radius - step
-                if trial < 4:
-                    offset = reach * gen.choice([-1.0, 1.0], size=(2, 2))
-                else:
-                    offset = gen.uniform(-reach, reach, size=(2, 2))
-                cur = start + offset
-                band.move_to(cur)
-                got = band.candidate_values([step])[0]
-                for j in (0, 1):
-                    for k in (0, 1):
-                        for s, delta in enumerate((step, -step)):
-                            moved = cur.copy()
-                            moved[j, k] += delta
-                            want = within_ss(pts, moved)
-                            assert got[j, k, s] == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_band_search_matches_full_search(self):
+
+class TestTransfers:
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_no_single_transfer_lowers_the_criterion(self, n):
+        for r in range(10):
+            pts = kmeans_two_line_sample(n, SeedStream(29, r))
+            for init in ("cv", "ch"):
+                fit = fit_kmeans2(pts, init)
+                labels = assign_clusters(pts, fit.centers)
+                assert worst_transfer_drop(pts, labels) <= 1e-12
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_centers_are_the_means_of_their_cells(self, n):
+        for r in range(10):
+            pts = kmeans_two_line_sample(n, SeedStream(29, r))
+            for init in ("cv", "ch"):
+                fit = fit_kmeans2(pts, init)
+                labels = assign_clusters(pts, fit.centers)
+                for j in (0, 1):
+                    cell_mean = pts[labels == j].mean(axis=0)
+                    scale = np.max(np.abs(fit.centers[j]))
+                    assert np.max(np.abs(cell_mean - fit.centers[j])) <= 1e-12 * scale
+                assert fit.w_value == pytest.approx(within_ss(pts, fit.centers), rel=1e-12, abs=0)
+
+    def test_never_above_full_search(self):
         cells = [(n, r) for n in (1000, 2000, 4000, 8000, 16000) for r in range(10)]
         for n, r in cells:
             pts = kmeans_two_line_sample(n, SeedStream(28, r))
             for init in ("cv", "ch"):
-                start = lloyd_centers(pts, init)
-                got, got_val = kmeans._pattern_search(pts, start, polish_step(n))
-                want, want_val, _ = full_pattern_search(pts, start, polish_step(n))
-                assert np.max(np.abs(got - want)) <= 1e-12
-                assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
-                # batching the rounds changes no bit
-                assert_same_bits(
-                    (got, got_val), round_by_round_search(pts, start, polish_step(n))
-                )
+                _, want_val, _ = full_pattern_search(pts, lloyd_centers(pts, init), polish_step(n))
+                assert fit_kmeans2(pts, init).w_value <= want_val * (1 + 1e-15)
+
+    @pytest.mark.parametrize(
+        "n, r", [(16000, 22), (16000, 51), (1000, 32), (1000, 53), (8000, 50)]
+    )
+    def test_stops_below_the_capped_search(self, n, r):
+        # the capped compass search still moves in round 40 on these fits;
+        # on the last two it never stops
+        pts = ladder_sample(n, r)
+        _, want_val, last_move = full_pattern_search(pts, lloyd_centers(pts, "cv"), polish_step(n))
+        assert last_move == 39
+        labels, centers, w = kmeans._transfers(pts, kmeans._lloyd(pts, "cv")[0])
+        assert w <= want_val * (1 + 1e-15)
+        again = kmeans._transfers(pts, labels)
+        assert np.array_equal(again[0], labels)
+        assert again[1].tobytes() == centers.tobytes()
 
     @pytest.mark.parametrize("n, r", [(16000, 22), (16000, 51), (1000, 32)])
-    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -2e3), (-5e4, 3e4)])
-    def test_band_search_matches_full_search_moving_in_last_round(self, n, r, offset):
-        # the offsets put the sample far from the origin, where per-center
-        # sums taken about the origin would cancel
+    @pytest.mark.parametrize("offset", [(1e3, -2e3), (-5e4, 3e4)])
+    def test_translation_moves_centers_by_the_offset(self, n, r, offset):
         offset = np.array(offset)
-        pts = kmeans_two_line_sample(n, _replicate_stream(1729, "kmeans", n, r, "data"))
-        start = lloyd_centers(pts, "cv") + offset
-        pts = pts + offset
-        want, want_val, last_move = full_pattern_search(pts, start, polish_step(n))
-        assert last_move == 39
-        got, got_val = kmeans._pattern_search(pts, start, polish_step(n))
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(offset)))
-        assert got_val == pytest.approx(want_val, rel=1e-12, abs=0)
-        assert_same_bits((got, got_val), round_by_round_search(pts, start, polish_step(n)))
+        pts = ladder_sample(n, r)
+        labels = kmeans._lloyd(pts, "cv")[0]
+        want_labels, want, _ = kmeans._transfers(pts, labels)
+        got_labels, got, _ = kmeans._transfers(pts + offset, labels)
+        assert np.array_equal(got_labels, want_labels)
+        assert np.max(np.abs(got - offset - want)) <= 1e-12 * max(1.0, np.max(np.abs(offset)))
 
 
 class TestReflection:
