@@ -33,18 +33,15 @@ from .estimators import (
     search_box,
     shorth_population,
 )
-from .harness import EXPERIMENTS, fit_rate, ks_two_sample, run_cells, zero_fraction
+from .harness import EXPERIMENTS, compare_with_limit, fit_rate, ks_two_sample, run_cells
 from .limits import (
-    KMEANS_LIMIT_INPUTS,
+    KMEANS_SIGMA,
     ChernoffConfig,
     _linearization_gate,
     chernoff_scale,
     estimate_kmeans_cov,
     fast_block_closed_form,
     sample_chernoff_argmax,
-    sample_kmeans_limit,
-    sample_lasso_limits,
-    sample_shorth_r_limit,
 )
 from .rates import RateSpec, Regime, derive_rates
 
@@ -218,10 +215,8 @@ def check_rate_calculus() -> CheckResult:
 
 def check_lasso_zero_collapse(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
     recs = run_cells("lasso", tier.lasso_ladder, tier.lasso_replicates, seed, None, workers)
-    fracs = []
-    for n in tier.lasso_ladder:
-        p, se = zero_fraction([r for r in recs if r.n == n], "alpha2")
-        fracs.append((n, p, se))
+    extras, _ = EXPERIMENTS["lasso"].summaries(recs, tier.lasso_ladder)
+    fracs = [(n, *extras["zero_fraction_alpha2"][str(n)]) for n in tier.lasso_ladder]
     inversions = [
         j
         for j in range(len(fracs) - 1)
@@ -246,13 +241,8 @@ def check_lasso_zero_collapse(tier: TierParams, seed: int, workers: int = 1) -> 
 def check_lasso_first_component(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
     n = tier.lasso_ks_n
     recs = run_cells("lasso", [n], tier.lasso_ks_replicates, seed + 1, None, workers)
-    emp = np.array([math.sqrt(n) * r.error for r in recs if r.component == "alpha1"])
-    params = EXPERIMENTS["lasso"].defaults
-    draws = sample_lasso_limits(
-        1.0 / 3.0, params["lambda0"], params["sigma"],
-        SeedStream(seed, 12345), tier.lasso_ks_replicates,
-    )
-    ks = ks_two_sample(emp, draws)
+    law = compare_with_limit("lasso", recs, "alpha1", n, seed, tier.lasso_ks_replicates)
+    ks, emp = law.ks, law.rescaled
     return CheckResult(
         name="lasso-first-component-law",
         passed=ks <= tier.lasso_ks_tol,
@@ -283,14 +273,11 @@ def check_shorth_rates(tier: TierParams, seed: int, workers: int = 1) -> CheckRe
     )
 
 
-def _shorth_ks_errors(tier: TierParams, seed: int, workers: int):
-    """Rescaled half-length and center errors of the fits both shorth law
-    checks compare."""
-    n = tier.shorth_ks_n
-    recs = run_cells("shorth", [n], tier.shorth_ks_replicates, seed + 3, None, workers)
-    emp_r = np.array([math.sqrt(n) * r.error for r in recs if r.component == "r"])
-    emp_m = np.array([n ** (1.0 / 3.0) * r.error for r in recs if r.component == "m"])
-    return emp_r, emp_m
+def _shorth_ks_records(tier: TierParams, seed: int, workers: int):
+    """The fits both shorth law checks compare."""
+    return run_cells(
+        "shorth", [tier.shorth_ks_n], tier.shorth_ks_replicates, seed + 3, None, workers
+    )
 
 
 def check_shorth_r_law(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
@@ -298,26 +285,23 @@ def check_shorth_r_law(tier: TierParams, seed: int, workers: int = 1) -> CheckRe
 
     Z ~ N(0, 1/4) is the centered coverage of [-rho, rho] and S >= 0 the
     maximum of the drifted Brownian motion whose argmax is the center's limit
-    (``sample_shorth_r_limit``); Z draws come from stream 780, S paths from
-    stream 781.  The detail also reports KS against the Var Z = 1/2 law once
+    (the registry's law for ``r``: Z draws from stream 780, S paths from
+    stream 781).  The detail also reports KS against the Var Z = 1/2 law once
     stated for this check and against the first-order law -Z/c1 (stream 777),
     both of which the simulated law rejects, and the empirical mean beside
     the mean of the reference draws, whose expectation is -E[S] n^(-1/6)/c1.
     """
-    return _shorth_r_law(tier, seed, _shorth_ks_errors(tier, seed, workers)[0])
+    return _shorth_r_law(tier, seed, _shorth_ks_records(tier, seed, workers))
 
 
-def _shorth_r_law(tier: TierParams, seed: int, emp_r: np.ndarray) -> CheckResult:
+def _shorth_r_law(tier: TierParams, seed: int, recs) -> CheckResult:
     pop = shorth_population()
     n = tier.shorth_ks_n
     R = tier.shorth_ks_replicates
-    draws = sample_shorth_r_limit(
-        ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=R), n,
-        SeedStream(seed, 780), SeedStream(seed, 781),
-    )
+    law = compare_with_limit("shorth", recs, "r", n, seed, R)
+    ks, emp_r, draws = law.ks, law.rescaled, law.draws
     stated = SeedStream(seed, 779).generator().normal(0.0, math.sqrt(0.5) / pop.c1, R)
     first_order = SeedStream(seed, 777).generator().normal(0.0, 0.5 / pop.c1, R)
-    ks = ks_two_sample(emp_r, draws)
     ks_stated = ks_two_sample(emp_r, stated)
     ks_first = ks_two_sample(emp_r, first_order)
     emp_mean = float(emp_r.mean())
@@ -344,16 +328,13 @@ def _shorth_r_law(tier: TierParams, seed: int, emp_r: np.ndarray) -> CheckResult
 
 
 def check_shorth_m_law(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
-    return _shorth_m_law(tier, seed, _shorth_ks_errors(tier, seed, workers)[1])
+    return _shorth_m_law(tier, seed, _shorth_ks_records(tier, seed, workers))
 
 
-def _shorth_m_law(tier: TierParams, seed: int, emp_m: np.ndarray) -> CheckResult:
-    pop = shorth_population()
-    draws = sample_chernoff_argmax(
-        ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=tier.shorth_ks_replicates),
-        SeedStream(seed, 778),
-    )
-    ks = ks_two_sample(emp_m, draws)
+def _shorth_m_law(tier: TierParams, seed: int, recs) -> CheckResult:
+    ks = compare_with_limit(
+        "shorth", recs, "m", tier.shorth_ks_n, seed, tier.shorth_ks_replicates
+    ).ks
     return CheckResult(
         name="shorth-m-law",
         passed=ks <= tier.shorth_m_ks_tol,
@@ -392,8 +373,8 @@ def check_kmeans_split(tier: TierParams, seed: int, workers: int = 1) -> CheckRe
     recs = run_cells(
         "kmeans", [tier.kmeans_split_n], tier.kmeans_split_replicates, seed + 5, None, workers
     )
-    choices = [r.choice for r in recs if r.component == "delta_s"]
-    frac = sum(c == "cv" for c in choices) / len(choices)
+    extras, _ = EXPERIMENTS["kmeans"].summaries(recs, [tier.kmeans_split_n])
+    frac = extras["split_fraction_cv"]["fraction"]
     lo, hi = tier.kmeans_split_band
     return CheckResult(
         name="kmeans-split-choice",
@@ -407,16 +388,13 @@ def check_kmeans_split(tier: TierParams, seed: int, workers: int = 1) -> CheckRe
 def check_kmeans_limits(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
     """Rescaled delta_s and delta_d errors at n = ``kmeans_ks_n`` against
     draws of the two-stage limit with its exact score covariance 4 I
-    (``KMEANS_LIMIT_INPUTS``, checked by ``oracle-score-linearization``)."""
+    (``KMEANS_SIGMA``, checked by ``oracle-score-linearization``)."""
     n = tier.kmeans_ks_n
     recs = run_cells("kmeans", [n], tier.kmeans_ks_replicates, seed + 6, None, workers)
-    draws = sample_kmeans_limit(
-        KMEANS_LIMIT_INPUTS, SeedStream(seed, 1000), tier.kmeans_ks_replicates
+    ks_ds, ks_dd = (
+        compare_with_limit("kmeans", recs, c, n, seed, tier.kmeans_ks_replicates).ks
+        for c in ("delta_s", "delta_d")
     )
-    emp_ds = np.array([n**0.25 * r.error for r in recs if r.component == "delta_s"])
-    emp_dd = np.array([math.sqrt(n) * r.error for r in recs if r.component == "delta_d"])
-    ks_ds = ks_two_sample(emp_ds, draws[:, 0])
-    ks_dd = ks_two_sample(emp_dd, draws[:, 2])
     tol = tier.kmeans_ks_tol
     return CheckResult(
         name="kmeans-limit-laws",
@@ -603,14 +581,14 @@ def check_oracle_linearization(tier: TierParams, seed: int) -> CheckResult:
     match the score-based directional derivatives to 1e-2 relative
     (``_linearization_gate``, stream 888).  And the Monte Carlo estimate of
     E[score score'] from ``kmeans_cov_samples`` points (stream 999) must lie
-    within 5 sd of ``KMEANS_LIMIT_INPUTS`` in every entry, each sd taken
+    within 5 sd of ``KMEANS_SIGMA`` in every entry, each sd taken
     from the closed-form fourth moments ``_KMEANS_SCORE_PRODUCT_VAR`` with a
     1e-12 floor for the two entries whose scores square to exactly 4."""
     worst = _linearization_gate(SeedStream(seed, 888).child("gate"))
     samples = tier.kmeans_cov_samples
-    estimate = estimate_kmeans_cov(samples, SeedStream(seed, 999)).Sigma.entries
+    estimate = estimate_kmeans_cov(samples, SeedStream(seed, 999)).entries
     sd = np.maximum(np.sqrt(_KMEANS_SCORE_PRODUCT_VAR / samples), 1e-12)
-    deviation_sd = float(np.max(np.abs(estimate - KMEANS_LIMIT_INPUTS.Sigma.entries) / sd))
+    deviation_sd = float(np.max(np.abs(estimate - KMEANS_SIGMA.entries) / sd))
     return CheckResult(
         name="oracle-score-linearization",
         passed=worst <= 1e-2 and deviation_sd <= 5.0,
@@ -636,14 +614,14 @@ def check_oracle_linearization(tier: TierParams, seed: int) -> CheckResult:
 
 def _check_list(tier: TierParams, master_seed: int, workers: int) -> list:
     # both shorth law checks compare the same fits: run them once
-    shorth_errors = functools.cache(lambda: _shorth_ks_errors(tier, master_seed, workers))
+    shorth_records = functools.cache(lambda: _shorth_ks_records(tier, master_seed, workers))
     return [
         lambda: check_rate_calculus(),
         lambda: check_lasso_zero_collapse(tier, master_seed, workers),
         lambda: check_lasso_first_component(tier, master_seed, workers),
         lambda: check_shorth_rates(tier, master_seed, workers),
-        lambda: _shorth_r_law(tier, master_seed, shorth_errors()[0]),
-        lambda: _shorth_m_law(tier, master_seed, shorth_errors()[1]),
+        lambda: _shorth_r_law(tier, master_seed, shorth_records()),
+        lambda: _shorth_m_law(tier, master_seed, shorth_records()),
         lambda: check_kmeans_rates(tier, master_seed, workers),
         lambda: check_kmeans_split(tier, master_seed, workers),
         lambda: check_kmeans_limits(tier, master_seed, workers),

@@ -28,13 +28,12 @@ from .harness import (
     EXPERIMENTS,
     HarnessError,
     LadderConfig,
+    compare_with_limit,
     fit_rate,
-    ks_two_sample,
     records_to_csv_lines,
     run_ladder,
 )
 from .limits import (
-    KMEANS_LIMIT_INPUTS,
     ChernoffConfig,
     sample_chernoff_argmax,
     sample_kmeans_limit,
@@ -204,9 +203,8 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
     plotdata: dict = {}
     extras, collapsed = exp.summaries(records, cfg.n_values)
     summary.update(_jsonable(extras))
-    # run_cells returns one record per component and replicate
-    limits = exp.limit_draws(cfg.params, cfg.master_seed, cfg.replicates)
-    # tolerated failed replicates carry error NaN; fit_rate skips them itself
+    # tolerated failed replicates carry error NaN; fit_rate and
+    # compare_with_limit skip them themselves
     fitted = [rec for rec in records if not rec.diag_flags.startswith("failed")]
 
     for comp, exponent in exp.rates.items():
@@ -231,23 +229,23 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
                 rows.append((f"{math.log(n)!r}", f"{math.log(med)!r}"))
         plotdata[f"{comp}_loglog"] = rows
 
-        # distributional comparison at the top rung, rescaled by the
-        # theoretical rate (never by the fitted slope)
-        if comp not in limits:
+        # distributional comparison at the top rung, one limit draw per
+        # replicate
+        if comp not in exp.laws:
             continue
-        errs = np.array([r.error for r in fitted if r.n == top_n and r.component == comp])
-        rescaled = float(top_n) ** float(exponent) * errs
-        draws = limits[comp]
+        law = compare_with_limit(
+            cfg.experiment, records, comp, top_n, cfg.master_seed, cfg.replicates, cfg.params
+        )
         summary["ks_vs_limit"][comp] = {
             "n": top_n,
             "rescale_exponent": str(exponent),
-            "ks": _sig6(ks_two_sample(rescaled, draws)),
-            "empirical": rescaled.size,
-            "limit_draws": int(draws.size),
+            "ks": _sig6(law.ks),
+            "empirical": law.rescaled.size,
+            "limit_draws": int(law.draws.size),
         }
         rows = [("kind", "value")]
-        rows += [("empirical", repr(float(v))) for v in rescaled]
-        rows += [("limit", repr(float(v))) for v in draws]
+        rows += [("empirical", repr(float(v))) for v in law.rescaled]
+        rows += [("limit", repr(float(v))) for v in law.draws]
         plotdata[f"{comp}_rescaled_vs_limit"] = rows
     return summary, plotdata
 
@@ -364,7 +362,7 @@ def _limit_rows(args, stream):
         draws = sample_lasso_limits(args.c11, args.lambda0, args.sigma, stream, args.draws)
         return [("index", "u")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     # --law kmeans, the last of the parser's choices
-    draws = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, stream, args.draws)
+    draws = sample_kmeans_limit(stream, args.draws)
     rows = [("index", "delta_s", "eps_d", "delta_d", "eps_s")]
     rows += [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(draws)]
     return rows
@@ -502,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--c11", type=float, default=1.0 / 3.0, help="design curvature")
     p_lim.add_argument("--lambda0", type=float, default=2.0)
     p_lim.add_argument("--sigma", type=float, default=1.0)
-    # Sigma is exact (KMEANS_LIMIT_INPUTS): the flag is accepted for old
-    # command lines and ignored
+    # Sigma is exact (KMEANS_SIGMA), so nothing estimates it: the flag is
+    # accepted for old command lines (bench/workloads.py still passes it)
+    # and ignored
     p_lim.add_argument("--cov-samples", type=int, help=argparse.SUPPRESS)
     p_lim.set_defaults(func=_cmd_limit)
 

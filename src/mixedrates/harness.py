@@ -4,9 +4,10 @@ two-sample CDF distances.
 
 ``EXPERIMENTS`` holds one :class:`Experiment` record per experiment: its
 components, replicate runner, rescale exponents, parameter defaults and
-checks, limit-law draws and extra summaries.  The CLI and the acceptance
-checks read that record, so adding an experiment means adding one record
-here.
+checks, the limit law of each component and extra summaries.  The CLI and
+the acceptance checks read that record, so adding an experiment means adding
+one record here.  ``compare_with_limit`` is the one path from errors to a
+KS distance against a limit law: ``simulate`` and ``verify`` both take it.
 
 Every replicate draws from a stream derived solely from
 (master_seed, experiment, n, replicate), so concurrent and sequential runs
@@ -16,6 +17,7 @@ produce byte-identical record sets once canonically sorted.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,13 +38,13 @@ from .estimators import (
     shorth_population,
 )
 from .limits import (
-    KMEANS_LIMIT_INPUTS,
     BoundaryHitError,
     ChernoffConfig,
     kmeans_two_line_sample,
     sample_chernoff_argmax,
     sample_kmeans_limit,
     sample_lasso_limits,
+    sample_shorth_r_limit,
 )
 from .rates import CoarseRateSpec, RateSpec, coarse_rates, derive_rates
 
@@ -55,6 +57,7 @@ __all__ = [
     "HarnessError",
     "run_ladder",
     "run_cells",
+    "compare_with_limit",
     "fit_rate",
     "ks_two_sample",
     "zero_fraction",
@@ -100,8 +103,6 @@ def _replicate_stream(master_seed: int, experiment: str, n: int, r: int, role: s
 def _lasso_design_stream(master_seed: int, n: int, r: int, mode: str) -> SeedStream:
     """Fresh mode draws a design per replicate; fixed mode shares one design
     per sample size (replicate index pinned to 0 in the derivation)."""
-    if mode not in ("fresh", "fixed"):
-        raise ValueError(f"design_mode must be 'fresh' or 'fixed', got {mode!r}")
     return _replicate_stream(master_seed, "lasso", n, 0 if mode == "fixed" else r, "design")
 
 
@@ -180,6 +181,15 @@ def _run_kmeans_replicate(params, master_seed: int, n: int, r: int) -> list[Ladd
     ]
 
 
+def _fitted(records, n: int, component: str) -> list[LadderRecord]:
+    """The records of ``component`` at ``n``, less tolerated failed replicates."""
+    return [
+        rec
+        for rec in records
+        if rec.n == n and rec.component == component and not rec.diag_flags.startswith("failed")
+    ]
+
+
 def _check_lasso_params(params: Mapping[str, object]) -> None:
     if params["design_mode"] not in ("fresh", "fixed"):
         raise ValueError(
@@ -190,42 +200,33 @@ def _check_lasso_params(params: Mapping[str, object]) -> None:
         raise ValueError(f"lasso d must be 2 or 3, got {params['d']!r}")
 
 
-def _limit_stream(master_seed: int, experiment: str, component: str) -> SeedStream:
-    return SeedStream(master_seed, derive_stream_index("limit", experiment, component))
-
-
-def _lasso_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
+def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
     # C11 = 1/3 is the design curvature of centered Uniform[-1, 1] columns
-    stream = _limit_stream(master_seed, "lasso", "alpha1")
-    return {
-        "alpha1": sample_lasso_limits(1.0 / 3.0, params["lambda0"], params["sigma"], stream, draws)
-    }
+    return sample_lasso_limits(
+        1.0 / 3.0, params["lambda0"], params["sigma"], SeedStream(master_seed, 12345), draws
+    )
 
 
-def _shorth_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
+def _shorth_chernoff(draws: int) -> ChernoffConfig:
     pop = shorth_population()
-    return {
-        "m": sample_chernoff_argmax(
-            ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=draws),
-            _limit_stream(master_seed, "shorth", "m"),
-        ),
-        # first-order limit: Gaussian with sd (1/2)/c1 (variance of the
-        # half-coverage indicator is 1/4); the acceptance check adds the
-        # n^(-1/6) term of sample_shorth_r_limit
-        "r": _limit_stream(master_seed, "shorth", "r").generator().normal(0.0, 0.5 / pop.c1, draws),
-    }
+    return ChernoffConfig(c1=pop.c1, c2=pop.c2, paths=draws)
 
 
-def _kmeans_limit_draws(params, master_seed: int, draws: int) -> dict[str, np.ndarray]:
-    """Draws from the two-stage limit with its exact score covariance 4 I
-    (``KMEANS_LIMIT_INPUTS``); each component takes its column of draws
-    from its own stream."""
-    return {
-        comp: sample_kmeans_limit(
-            KMEANS_LIMIT_INPUTS, _limit_stream(master_seed, "kmeans", comp), draws
-        )[:, j]
-        for j, comp in enumerate(EXPERIMENTS["kmeans"].components)
-    }
+def _shorth_m_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
+    return sample_chernoff_argmax(_shorth_chernoff(draws), SeedStream(master_seed, 778))
+
+
+def _shorth_r_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
+    # second order: at desk scale the n^(-1/6) S term is not negligible
+    return sample_shorth_r_limit(
+        _shorth_chernoff(draws), n, SeedStream(master_seed, 780), SeedStream(master_seed, 781)
+    )
+
+
+def _kmeans_law(params, master_seed: int, n: int, draws: int, column: int) -> np.ndarray:
+    """One column of a joint draw of the two-stage limit; every component
+    draws the same joint sample."""
+    return sample_kmeans_limit(SeedStream(master_seed, 1000), draws)[:, column]
 
 
 def _lasso_summaries(records, n_values) -> tuple[dict, set]:
@@ -241,7 +242,7 @@ def _lasso_summaries(records, n_values) -> tuple[dict, set]:
 def _kmeans_summaries(records, n_values) -> tuple[dict, set]:
     """Share of top-rung fits that pick the cv configuration."""
     top_n = n_values[-1]
-    choices = [rec.choice for rec in records if rec.n == top_n and rec.component == "delta_s"]
+    choices = [rec.choice for rec in _fitted(records, top_n, "delta_s")]
     frac = sum(c == "cv" for c in choices) / len(choices)
     se = math.sqrt(frac * (1.0 - frac) / len(choices))
     return {"split_fraction_cv": {"n": top_n, "fraction": frac, "se": se}}, set()
@@ -254,18 +255,20 @@ class Experiment:
 
     ``rates`` maps each component, in record order, to its rescale exponent
     from the rate calculus.  ``run_replicate(params, master_seed, n, r)``
-    returns one record per component.  ``limit_draws(params, master_seed,
-    draws)`` maps components to draws of their limit law; a component left
-    out gets no KS comparison.  ``summaries(records, n_values)`` returns
+    returns one record per component.  ``laws`` maps components to their
+    limit law: ``law(params, master_seed, n, draws)`` returns draws of the
+    limit of n^tau times the error, from a fixed stream index under the
+    master seed; a component left out gets no KS comparison.
+    ``summaries(records, n_values)`` returns
     extra summary entries and the components reported as collapsed instead
     of fitted.  Exact zeros of ``sparse`` components are left out of their
-    rate fits.  Runners and limit draws call the estimators and samplers by
+    rate fits.  Runners and limit laws call the estimators and samplers by
     their module-level names, so wrappers installed on those names see them.
     """
 
     rates: Mapping[str, Fraction]
     run_replicate: Callable[..., list[LadderRecord]]
-    limit_draws: Callable[..., dict[str, np.ndarray]]
+    laws: Mapping[str, Callable[..., np.ndarray]]
     defaults: Mapping[str, object] = field(default_factory=dict)
     check_params: Callable[[Mapping[str, object]], None] = lambda params: None
     summaries: Callable[..., tuple[dict, set]] = lambda records, n_values: ({}, set())
@@ -292,7 +295,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("alpha1", "alpha2"), coarse_rates(CoarseRateSpec(2, 2, [(1, Fraction(1, 2))]))[0]
         ),
         run_replicate=_run_lasso_replicate,
-        limit_draws=_lasso_limit_draws,
+        laws={"alpha1": _lasso_alpha1_law},
         defaults={"d": 2, "lambda0": 2.0, "gamma": 0.5, "sigma": 1.0, "design_mode": "fresh"},
         check_params=_check_lasso_params,
         summaries=_lasso_summaries,
@@ -309,7 +312,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "r": Fraction(1, 2),
         },
         run_replicate=_run_shorth_replicate,
-        limit_draws=_shorth_limit_draws,
+        laws={"m": _shorth_m_law, "r": _shorth_r_law},
     ),
     # the cubic/quadratic two-block profile with three (2, 1) cross terms
     # gives (1/4, 1/2)
@@ -321,7 +324,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             "eps_s": _KMEANS_RATES.tau_b,
         },
         run_replicate=_run_kmeans_replicate,
-        limit_draws=_kmeans_limit_draws,
+        laws={
+            c: functools.partial(_kmeans_law, column=j)
+            for j, c in enumerate(("delta_s", "eps_d", "delta_d", "eps_s"))
+        },
         summaries=_kmeans_summaries,
     ),
 }
@@ -442,6 +448,31 @@ def run_ladder(cfg: LadderConfig, workers: int = 1) -> list[LadderRecord]:
     return run_cells(
         cfg.experiment, cfg.n_values, cfg.replicates, cfg.master_seed, cfg.params, workers
     )
+
+
+@dataclass(frozen=True)
+class LimitComparison:
+    """Rescaled errors beside draws of their limit law, and the KS distance
+    between them."""
+
+    rescaled: np.ndarray
+    draws: np.ndarray
+    ks: float
+
+
+def compare_with_limit(
+    experiment: str, records, component: str, n: int, master_seed: int, draws: int, params=None
+) -> LimitComparison:
+    """n^tau times the errors of ``component`` at ``n`` against ``draws``
+    draws of its limit law under ``master_seed``.  tau is the theoretical
+    exponent in ``Experiment.rates``, never a fitted slope.  Records of
+    tolerated failed replicates are dropped; ``params`` overrides the
+    experiment's defaults."""
+    exp = EXPERIMENTS[experiment]
+    errors = np.array([rec.error for rec in _fitted(records, n, component)])
+    rescaled = float(n) ** float(exp.rates[component]) * errors
+    law = exp.laws[component](exp.resolve(params), master_seed, n, draws)
+    return LimitComparison(rescaled, law, ks_two_sample(rescaled, law))
 
 
 def fit_rate(

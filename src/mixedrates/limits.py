@@ -22,8 +22,7 @@ __all__ = [
     "ChernoffConfig",
     "BoundaryHitError",
     "LinearizationGateError",
-    "KmeansLimitInputs",
-    "KMEANS_LIMIT_INPUTS",
+    "KMEANS_SIGMA",
     "sample_chernoff_argmax",
     "sample_shorth_r_limit",
     "sample_lasso_limits",
@@ -197,23 +196,14 @@ class LinearizationGateError(RuntimeError):
     """The score-based linearization failed its finite-difference validation."""
 
 
-@dataclass(frozen=True, eq=False)
-class KmeansLimitInputs:
-    """Covariance of the Gaussian (Z1, Z2), ordered (Z_ds, Z_ed, Z_dd, Z_es).
-
-    On the two-line law it is exactly 4 I (``KMEANS_LIMIT_INPUTS``): with
-    u = |x| - 1, |x| ~ Exp(1), the four scores of ``kmeans_scores`` are
-    -2 sign(x) u, 2 y sign(x), 2u and -2y.  Each has second moment 4
-    (E u^2 = Var |x| = 1, y^2 = 1), and every cross moment vanishes because
-    it is odd in y or in sign(x), which are independent of u and of each
-    other.
-    """
-
-    Sigma: CovMatrix
-
-
-KMEANS_LIMIT_INPUTS = KmeansLimitInputs(Sigma=CovMatrix(4.0 * np.eye(4)))
-KMEANS_LIMIT_INPUTS.Sigma.entries.flags.writeable = False  # shared by every caller
+# Covariance of the Gaussian (Z1, Z2) of the k-means limit, ordered
+# (Z_ds, Z_ed, Z_dd, Z_es).  On the two-line law it is exactly 4 I: with
+# u = |x| - 1, |x| ~ Exp(1), the four scores of ``kmeans_scores`` are
+# -2 sign(x) u, 2 y sign(x), 2u and -2y.  Each has second moment 4
+# (E u^2 = Var |x| = 1, y^2 = 1), and every cross moment vanishes because it
+# is odd in y or in sign(x), which are independent of u and of each other.
+KMEANS_SIGMA = CovMatrix(4.0 * np.eye(4))
+KMEANS_SIGMA.entries.flags.writeable = False  # shared by every caller
 
 
 def kmeans_two_line_sample(n: int, stream: SeedStream) -> np.ndarray:
@@ -293,10 +283,10 @@ def _linearization_gate(stream: SeedStream, n: int = 200_000,
     return worst
 
 
-def estimate_kmeans_cov(samples: int, stream: SeedStream) -> KmeansLimitInputs:
+def estimate_kmeans_cov(samples: int, stream: SeedStream) -> CovMatrix:
     """Monte Carlo estimate of Sigma = E[score * score'] over the two-line
     law, from ``samples`` points in chunks of a million.  The program draws
-    its limits from the exact ``KMEANS_LIMIT_INPUTS``; the acceptance check
+    its limits from the exact ``KMEANS_SIGMA``; the acceptance check
     ``oracle-score-linearization`` compares this estimate with it."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -311,7 +301,7 @@ def estimate_kmeans_cov(samples: int, stream: SeedStream) -> KmeansLimitInputs:
         acc += s.T @ s
         done += m
         part += 1
-    return KmeansLimitInputs(Sigma=CovMatrix(acc / samples))
+    return CovMatrix(acc / samples)
 
 
 def psi_slow(delta_s, eps_d):
@@ -350,15 +340,13 @@ def fast_block_closed_form(s_star: np.ndarray, z2: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_kmeans_limit(
-    inputs: KmeansLimitInputs, stream: SeedStream, draws: int
-) -> np.ndarray:
+def sample_kmeans_limit(stream: SeedStream, draws: int) -> np.ndarray:
     """Draws of the two-stage limit (s*, t*): sample (Z1, Z2) from
-    N(0, Sigma), minimize the cubic slow-block objective in closed form, then
-    complete the square for the fast block.
+    N(0, ``KMEANS_SIGMA``), minimize the cubic slow-block objective in
+    closed form, then complete the square for the fast block.
 
     Returns a (draws, 4) array with columns (delta_s, eps_d, delta_d, eps_s).
     """
-    z = sample_gaussian_vector(inputs.Sigma, stream, draws=draws)
+    z = sample_gaussian_vector(KMEANS_SIGMA, stream, draws=draws)
     s = slow_block_closed_form(z[:, :2])
     return np.hstack([s, fast_block_closed_form(s, z[:, 2:])])

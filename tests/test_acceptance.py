@@ -16,11 +16,14 @@ import os
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
 from mixedrates.distributions import CovMatrix, SeedStream
-from mixedrates.limits import KmeansLimitInputs, kmeans_scores, kmeans_two_line_sample
+from mixedrates.estimators import SearchBoxError
+from mixedrates.harness import EXPERIMENTS
+from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
 TIER = acc.FULL
@@ -118,12 +121,56 @@ def test_criterion_9_oracle_chernoff_scaling_rejects_unit_factor(monkeypatch):
 def test_criterion_9_oracle_score_linearization_rejects_covariance_off_by_ten_percent(
     monkeypatch,
 ):
-    monkeypatch.setattr(
-        acc, "KMEANS_LIMIT_INPUTS", KmeansLimitInputs(Sigma=CovMatrix(4.4 * np.eye(4)))
-    )
+    monkeypatch.setattr(acc, "KMEANS_SIGMA", CovMatrix(4.4 * np.eye(4)))
     res = report(acc.check_oracle_linearization(TIER, SEED))
     assert res.measured["worst_relative_error"] <= 1e-2
     assert res.measured["worst_cov_deviation_sd"] > 5.0
+    assert not res.passed, res.detail
+
+
+def test_lasso_law_leaves_out_a_tolerated_failed_replicate(monkeypatch):
+    # run_cells tolerates one declared numerical failure in 400 and records
+    # its error as NaN; the law check compares the other 399 errors
+    lasso = EXPERIMENTS["lasso"]
+
+    def run(params, master_seed, n, r):
+        if r == 7:
+            raise SearchBoxError("hit the box")
+        return lasso.run_replicate(params, master_seed, n, r)
+
+    monkeypatch.setitem(EXPERIMENTS, "lasso", replace(lasso, run_replicate=run))
+    res = report(acc.check_lasso_first_component(acc.QUICK, SEED, 1))
+    assert math.isfinite(res.measured["emp_mean"]), res.measured
+    assert math.isfinite(res.measured["emp_sd"]), res.measured
+    assert res.passed, res.detail
+
+
+# (experiment, component, check, its measured KS, its tolerance)
+LAW_CHECKS = [
+    ("lasso", "alpha1", acc.check_lasso_first_component, "ks", "lasso_ks_tol"),
+    ("shorth", "m", acc.check_shorth_m_law, "ks", "shorth_m_ks_tol"),
+    ("shorth", "r", acc.check_shorth_r_law, "ks", "shorth_r_ks_tol"),
+    ("kmeans", "delta_s", acc.check_kmeans_limits, "ks_delta_s", "kmeans_ks_tol"),
+    ("kmeans", "delta_d", acc.check_kmeans_limits, "ks_delta_d", "kmeans_ks_tol"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, component, check, key, tol", LAW_CHECKS, ids=[c[1] for c in LAW_CHECKS]
+)
+def test_law_check_rejects_a_rescale_off_by_one_twelfth(
+    monkeypatch, experiment, component, check, key, tol
+):
+    # the law scaled by n^(-1/12) is the limit of errors rescaled by
+    # n^(tau + 1/12): each quick-tier comparison must reject it
+    law = EXPERIMENTS[experiment].laws[component]
+
+    def off(params, master_seed, n, draws):
+        return law(params, master_seed, n, draws) * n ** (-1.0 / 12.0)
+
+    monkeypatch.setitem(EXPERIMENTS[experiment].laws, component, off)
+    res = report(check(acc.QUICK, SEED, WORKERS))
+    assert res.measured[key] > getattr(acc.QUICK, tol), res.detail
     assert not res.passed, res.detail
 
 

@@ -221,29 +221,29 @@ def test_git_revision_is_none_without_git_or_checkout(monkeypatch):
 SMALL_RUN_DIGESTS = {
     "lasso": {
         "plotdata/alpha1_loglog.csv": "690a4fe69dd4353b46bec71ddde1f81bb94b74da77b529cfa32a065194d47a2c",
-        "plotdata/alpha1_rescaled_vs_limit.csv": "d0965dc737b12e0ee13cf9d58a28f4974554607791f97c41f93fb7a113b779e2",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "331906199de6a8f523aecd504f52757cd7f3793b30b95fd3a904cabc7551390a",
         "records.csv": "a7ef0ab0b03cc7151158fc412db8fa44dfef6cc8b39e74d78cecd4e0843f8d34",
-        "summary.json": "794c66bf0167c5c5dd23fc1e73363bfa08462493f6862f98dd8e1f910289beed",
+        "summary.json": "f76bd1b5103cc2202a4d9e57eb677673a525065f1bd836eff63acdca4394773e",
     },
     "shorth": {
         "plotdata/m_loglog.csv": "dfe1c603cd57921927be9d45aceb13cf11b2634e7effa62706d12dd38c60647d",
-        "plotdata/m_rescaled_vs_limit.csv": "243f2331e82496088071b5c531991d3cc3bb1b54c6db6b815f62ed78960a6f7a",
+        "plotdata/m_rescaled_vs_limit.csv": "c909da6c67c38a5df2240fae672d25f090faa9517247ecbdc6d2fbd14023f221",
         "plotdata/r_loglog.csv": "ac97d92b768b722a484fa0af990bb4571f86b157d108f5f0b4c4f176fc79193f",
-        "plotdata/r_rescaled_vs_limit.csv": "277131302c6a327db6feacdd5bd897cb70dd76dc6446fdcf9e9c82245b133088",
+        "plotdata/r_rescaled_vs_limit.csv": "aa1c904b29f4f68450a4258c3a8bd7913ec1416257299bc854b557f0568d84bf",
         "records.csv": "8a83613a3dea87c950e5564d0efae4b0df0561436fa9a7076a9ec21a0051a43f",
-        "summary.json": "c67aceac91c1cc3fc6831b778b132045bcc929969176eb033a083356eee0ecc7",
+        "summary.json": "97d38460d8daeece4a6be71f9a2639db75915188cb7a4e8d4e6653928cf78e6d",
     },
     "kmeans": {
         "plotdata/delta_d_loglog.csv": "753d49fe84e15f8b4c8a147354a2e89aa1162f15301efdbe050e84338e54f9fa",
-        "plotdata/delta_d_rescaled_vs_limit.csv": "0623accd85b64422f31c1b984388d819960f1f5786fc5ddc9311da234e83e57a",
+        "plotdata/delta_d_rescaled_vs_limit.csv": "9f8d58270c3d85fedb770929a6daa896031410e08db9d2b62c95396452519e24",
         "plotdata/delta_s_loglog.csv": "c7f84a858387648b57065a4de24f082ff4b7e1896f4931645cc2858f741c445e",
-        "plotdata/delta_s_rescaled_vs_limit.csv": "9dcc2a0de0aaedf685a6591f0b7b09ad7e5407feff2f3aae11438f1a73148a68",
+        "plotdata/delta_s_rescaled_vs_limit.csv": "0187a55143dbfa1d1ad54ec1ae3e8e352ac5468a44f28a4eaff67fdc7b16c155",
         "plotdata/eps_d_loglog.csv": "b5006d49ec08f557cda87795bf11372d62af74e227d753ff6465999b72ecfcd5",
-        "plotdata/eps_d_rescaled_vs_limit.csv": "41e85ae44099e38a60b033103f376cad5cdfc9f46e4311f7e8327556891538e9",
+        "plotdata/eps_d_rescaled_vs_limit.csv": "1df69e6fbda82af0c22f6699307a2c5269bcc48693cd89e7708c82918c11f56d",
         "plotdata/eps_s_loglog.csv": "45464ae7319b283582efc82b2f3b91d1f5e7e47b29523560b0d497a904eeb9f7",
-        "plotdata/eps_s_rescaled_vs_limit.csv": "6f7fda6aabf1ab6f19548d5ffc52d9d3a4910d07e2538125a62d730c2a613cff",
+        "plotdata/eps_s_rescaled_vs_limit.csv": "92c932c4247629bbde6c8946a2d3f073c16626125c40fb486365f81db8c78096",
         "records.csv": "148568a497d01e2a96b63865ba0593efc682dd21a672738f9ef50cefbac91249",
-        "summary.json": "5bbf9cfd194e08a5f275a2cc106d077438a8dac15f033f38c72cedace08266ff",
+        "summary.json": "b52842fd11ef486353645b423456ab2ecaeb156d1b4caaa50eb43c75358c6105",
     },
 }
 
@@ -292,8 +292,8 @@ def _run_toy_replicate(params, master_seed, n, r):
     return [LadderRecord("toy", n, r, "mean", float(stream.generator().standard_normal(n).mean()))]
 
 
-def _toy_limit_draws(params, master_seed, draws):
-    return {"mean": SeedStream(master_seed, 1).generator().standard_normal(draws)}
+def _toy_law(params, master_seed, n, draws):
+    return SeedStream(master_seed, 1).generator().standard_normal(draws)
 
 
 def test_experiment_registered_only_in_the_registry_runs_end_to_end(
@@ -303,7 +303,7 @@ def test_experiment_registered_only_in_the_registry_runs_end_to_end(
     toy = Experiment(
         rates={"mean": Fraction(1, 2)},
         run_replicate=_run_toy_replicate,
-        limit_draws=_toy_limit_draws,
+        laws={"mean": _toy_law},
     )
     monkeypatch.setitem(EXPERIMENTS, "toy", toy)
     out = tmp_path / "toy"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mixedrates.harness import (
     HarnessError,
     LadderConfig,
     LadderRecord,
+    compare_with_limit,
     fit_rate,
     ks_two_sample,
     records_to_csv_lines,
@@ -111,8 +113,8 @@ class TestRunLadder:
         assert fresh[0] != fresh[1]  # a new design per replicate
         assert fixed[0] == fixed[1]  # one design per sample size
         assert fresh[0] == fixed[0]  # fixed mode pins the replicate-0 design
-        with pytest.raises(ValueError):
-            _lasso_design_stream(1, 200, 0, "jittered")
+        with pytest.raises(ValueError, match="design_mode"):
+            run_cells("lasso", [200], 50, 1, {"design_mode": "jittered"})
 
     def test_design_modes_give_different_records(self):
         fresh = run_cells("lasso", [120], 50, 9, {"design_mode": "fresh"})
@@ -165,6 +167,43 @@ class TestReplicateFailures:
         assert str(err.value).splitlines()[1:] == [
             "  4 x SearchBoxError: hit the box (first at n = 100, r = 7)"
         ]
+
+
+class TestCompareWithLimit:
+    def test_rescales_by_the_theoretical_exponent_and_drops_failures(self, monkeypatch):
+        calls = []
+
+        def law(params, master_seed, n, draws):
+            calls.append((params["lambda0"], params["sigma"], master_seed, n, draws))
+            return np.zeros(draws)
+
+        monkeypatch.setitem(EXPERIMENTS["lasso"].laws, "alpha1", law)
+        recs = [LadderRecord("lasso", 400, r, "alpha1", 0.01 * r) for r in range(5)]
+        recs += [
+            LadderRecord("lasso", 400, 5, "alpha1", math.nan, diag_flags="failed:SearchBoxError: x"),
+            LadderRecord("lasso", 100, 0, "alpha1", 1.0),  # another rung
+            LadderRecord("lasso", 400, 0, "alpha2", 1.0),  # another component
+        ]
+        res = compare_with_limit("lasso", recs, "alpha1", 400, 9, 6, {"lambda0": 3.0})
+        assert EXPERIMENTS["lasso"].rates["alpha1"] == Fraction(1, 2)  # 400^(1/2) = 20
+        assert res.rescaled.tolist() == [20.0 * rec.error for rec in recs[:5]]
+        assert calls == [(3.0, 1.0, 9, 400, 6)]  # defaults fill in sigma
+        assert res.draws.tolist() == [0.0] * 6
+        assert res.ks == ks_two_sample(res.rescaled, res.draws)
+
+    def test_every_component_with_a_law_has_a_rate(self):
+        for exp in EXPERIMENTS.values():
+            assert set(exp.laws) <= set(exp.rates)
+
+
+def test_kmeans_split_fraction_leaves_out_failed_replicates():
+    recs = [
+        LadderRecord("kmeans", 800, r, "delta_s", 0.0, choice="cv" if r < 30 else "ch")
+        for r in range(60)
+    ]
+    recs.append(LadderRecord("kmeans", 800, 60, "delta_s", math.nan, diag_flags="failed:x"))
+    extras, _ = EXPERIMENTS["kmeans"].summaries(recs, [800])
+    assert extras["split_fraction_cv"]["fraction"] == 0.5
 
 
 class TestFitRate:

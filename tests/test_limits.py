@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from mixedrates.estimators import shorth_population
 from mixedrates.harness import ks_two_sample
 from mixedrates.limits import (
     GRID_MAX_SHIFT,
-    KMEANS_LIMIT_INPUTS,
+    KMEANS_SIGMA,
     BoundaryHitError,
     ChernoffConfig,
     LinearizationGateError,
@@ -364,24 +365,24 @@ class TestKmeansScores:
             L._linearization_gate(SeedStream(32, 1).child("gate"))
 
     def test_exact_covariance_is_four_identity(self):
-        assert np.array_equal(KMEANS_LIMIT_INPUTS.Sigma.entries, 4.0 * np.eye(4))
+        assert np.array_equal(KMEANS_SIGMA.entries, 4.0 * np.eye(4))
 
     def test_covariance_matches_hand_moments(self):
         # Var of each score is 4: the spread scores give
         # 4 E (|x|-1)^2 = 4 (E x^2 - 2 E|x| + 1) = 4 under the double
         # exponential; the offset scores give 4 E y^2 = 4 with y = +/-1
-        inputs = estimate_kmeans_cov(2_000_000, SeedStream(32, 2))
-        exact = KMEANS_LIMIT_INPUTS.Sigma.entries
-        assert np.max(np.abs(np.diag(inputs.Sigma.entries - exact))) < 0.03
+        estimate = estimate_kmeans_cov(2_000_000, SeedStream(32, 2)).entries
+        exact = KMEANS_SIGMA.entries
+        assert np.max(np.abs(np.diag(estimate - exact))) < 0.03
         off = ~np.eye(4, dtype=bool)
-        assert np.max(np.abs((inputs.Sigma.entries - exact)[off])) < 0.03
+        assert np.max(np.abs((estimate - exact)[off])) < 0.03
 
     def test_covariance_self_consistent_when_doubling(self):
-        exact = KMEANS_LIMIT_INPUTS.Sigma.entries
+        exact = KMEANS_SIGMA.entries
         # 3 Monte Carlo standard errors of a variance-of-scores entry
         se = 3.0 * math.sqrt(128.0 / 1_000_000)
         for samples in (1_000_000, 4_000_000):
-            estimate = estimate_kmeans_cov(samples, SeedStream(32, 3)).Sigma.entries
+            estimate = estimate_kmeans_cov(samples, SeedStream(32, 3)).entries
             assert np.max(np.abs(estimate - exact)) < 3.0 * se
 
     def test_scores_mean_zero(self):
@@ -460,18 +461,27 @@ class TestKmeansLimit:
         assert np.allclose(s_flip1, [s[0], -s[1]], rtol=0, atol=1e-15)
 
     def test_draws_match_per_draw_grid_oracle(self):
-        draws = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 5), 60)
-        z = sample_gaussian_vector(KMEANS_LIMIT_INPUTS.Sigma, SeedStream(33, 5), draws=60)
+        draws = sample_kmeans_limit(SeedStream(33, 5), 60)
+        z = sample_gaussian_vector(KMEANS_SIGMA, SeedStream(33, 5), draws=60)
         for d, zi in zip(draws, z):
             s = grid_solve_slow_block(zi[:2])
             assert np.allclose(d[:2], s, rtol=0, atol=1e-6)
             assert np.allclose(d[2:], fast_block_closed_form(s, zi[2:]), rtol=0, atol=1e-6)
 
     def test_draws_shape_and_determinism(self):
-        a = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 3), 50)
-        b = sample_kmeans_limit(KMEANS_LIMIT_INPUTS, SeedStream(33, 3), 50)
+        a = sample_kmeans_limit(SeedStream(33, 3), 50)
+        b = sample_kmeans_limit(SeedStream(33, 3), 50)
         assert a.shape == (50, 4)
         assert np.array_equal(a, b)
+
+    def test_draws_are_pinned_bit_for_bit(self):
+        # sha256 of the float64 bytes of the draws the full-tier
+        # kmeans-limit-laws check reads at seed 1729
+        draws = sample_kmeans_limit(SeedStream(1729, 1000), 2000)
+        assert draws.shape == (2000, 4) and draws.dtype == np.float64
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "3b5014a0734ea7f0549c051fb35eb5ec645a73ffae51bad8bb1234c20e34c905"
+        )
 
     def test_empirical_criterion_diff_zero_at_base(self):
         pts = kmeans_two_line_sample(100, SeedStream(33, 4))
