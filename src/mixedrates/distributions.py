@@ -124,31 +124,3 @@ def sample_gaussian_vector(
         return root @ gen.standard_normal(cov.dimension)
     z = gen.standard_normal((draws, cov.dimension))
     return z @ root.T
-
-
-def _validate_grid(T: float, h: float) -> int:
-    if not T > 0:
-        raise ValueError("horizon T must be positive")
-    if not 0 < h <= T:
-        raise ValueError("step h must satisfy 0 < h <= T")
-    steps = T / h
-    n = round(steps)
-    if n < 1 or abs(steps - n) > 1e-8 * max(1.0, steps):
-        raise ValueError(f"T/h = {steps} is not integral")
-    return int(n)
-
-
-def _two_sided_values(gen: np.random.Generator, paths: int, n: int, h: float) -> np.ndarray:
-    """(paths, 2n+1) matrix of B on the grid; column n is the pinned origin.
-
-    Increment draw order is fixed (positive side first, then negative) so a
-    given stream always reproduces the same paths.
-    """
-    sd = np.sqrt(h)
-    pos = np.cumsum(gen.standard_normal((paths, n)) * sd, axis=1)
-    neg = np.cumsum(gen.standard_normal((paths, n)) * sd, axis=1)
-    out = np.empty((paths, 2 * n + 1), dtype=np.float64)
-    out[:, n] = 0.0
-    out[:, n + 1 :] = pos
-    out[:, :n] = neg[:, ::-1]
-    return out

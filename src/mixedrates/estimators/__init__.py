@@ -5,10 +5,9 @@ from .lasso import (
     DesignError,
     LassoConfig,
     LassoFit,
-    SearchBoxError,
     fit_bridge_lasso,
     generate_lasso_design,
-    search_box,
+    minimizer_box,
 )
 from .shorth import (
     ShorthFit,
@@ -33,10 +32,9 @@ __all__ = [
     "DesignError",
     "LassoConfig",
     "LassoFit",
-    "SearchBoxError",
     "fit_bridge_lasso",
     "generate_lasso_design",
-    "search_box",
+    "minimizer_box",
     "ShorthFit",
     "ShorthPopulation",
     "fit_shorth",

@@ -20,10 +20,9 @@ __all__ = [
     "LassoConfig",
     "LassoFit",
     "DesignError",
-    "SearchBoxError",
     "generate_lasso_design",
     "fit_bridge_lasso",
-    "search_box",
+    "minimizer_box",
 ]
 
 _MIN_EIGENVALUE = 1e-6
@@ -31,10 +30,6 @@ _MIN_EIGENVALUE = 1e-6
 
 class DesignError(ValueError):
     """The design matrix is unusable (singular normalized Gram matrix)."""
-
-
-class SearchBoxError(RuntimeError):
-    """The minimizer kept escaping the search box after repeated widenings."""
 
 
 @dataclass(frozen=True)
@@ -107,24 +102,24 @@ def generate_lasso_design(n: int, d: int, stream: SeedStream) -> np.ndarray:
     raise DesignError("could not draw a nonsingular design in 4 attempts")
 
 
-def _quad_parts(y: np.ndarray, X: np.ndarray):
-    return X.T @ X, X.T @ y, float(y @ y)
+def minimizer_box(
+    xtx: np.ndarray, xty: np.ndarray, lam: float, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A box that holds every global minimizer of the criterion; returns
+    ``(ols, lo, hi)`` with ``ols`` at its center.
 
-
-def _batch_values(A: np.ndarray, xtx, xty, yty, lam: float, gamma: float) -> np.ndarray:
-    """Criterion on a batch of points, O(d^2) per point via the Gram form."""
-    quad = np.einsum("ij,jk,ik->i", A, xtx, A)
-    return yty - 2.0 * (A @ xty) + quad + lam * np.sum(np.abs(A) ** gamma, axis=1)
-
-
-def search_box(y: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact box centered at the OLS solution with half-width
-    4 * max(1, rms residual); returns (ols, lo, hi)."""
-    ols, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ ols
-    scale = math.sqrt(float(resid @ resid) / X.shape[0])
-    w = 4.0 * max(1.0, scale)
-    return ols, ols - w, ols + w
+    Write the criterion as f(b) = RSS + (b - ols)' Q (b - ols) + lam P(b) with
+    Q = X'X, RSS the least-squares residual sum of squares and
+    P(b) = sum_j |b_j|^gamma >= 0.  A global minimizer b* has
+    f(b*) <= min(f(ols), f(0)), so (b* - ols)' Q (b* - ols) <= rho with
+    rho = min(lam P(ols), ols' Q ols), and Cauchy-Schwarz in the Q inner
+    product gives |b*_j - ols_j| <= sqrt(rho (Q^-1)_jj).  Q is invertible
+    because ``LassoConfig`` rejects near-singular designs.
+    """
+    ols = np.linalg.solve(xtx, xty)
+    rho = min(lam * float(np.sum(np.abs(ols) ** gamma)), float(ols @ xtx @ ols))
+    half = np.sqrt(rho * np.diag(np.linalg.inv(xtx)))
+    return ols, ols - half, ols + half
 
 
 def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -235,52 +230,57 @@ def _slice_min(base, lin, q, lam, gamma, lo, hi) -> tuple[float, float]:
     return t, f(t)
 
 
-def _coordinate_polish(start, lo, hi, free, xtx, xty, yty, lam, gamma, sweeps=3):
-    """Cyclic coordinate descent restricted to the sign orthant of the start
-    point (the penalty is smooth away from zero), each coordinate moved to
-    the exact minimum of its slice by ``_slice_min``.  ``xtx`` and ``xty``
-    are Python lists; the point is kept as a list of floats."""
-    x = start.tolist()
+def _coordinate_polish(x, lo, hi, free, xtx, xty, yty, lam, gamma):
+    """Cyclic coordinate descent over the ``free`` coordinates, restricted to
+    the sign orthant of the start point ``x`` (the penalty is smooth away from
+    zero), each coordinate moved to the exact minimum of its slice by
+    ``_slice_min``.  A move is accepted only if it lowers the criterion f by
+    more than 1e-12 (1 + |f|), and the descent stops after a sweep that
+    accepts none.  Since f >= 0, only finitely many moves can be accepted.
+    ``x`` is a list of floats, updated in place; ``lo``, ``hi``, ``xtx`` and
+    ``xty`` are Python lists."""
     base, lin, q = _slice_criterion(x, free[0], xtx, xty, yty, lam, gamma)
     t = x[free[0]]
     best = base + t * (lin + q * t) + lam * abs(t) ** gamma
-    for _ in range(sweeps):
+    moved = True
+    while moved:
+        moved = False
         for j in free:
-            b_lo, b_hi = float(lo[j]), float(hi[j])
+            b_lo, b_hi = lo[j], hi[j]
             if x[j] > 0.0:
                 b_lo = max(b_lo, 0.0)
             elif x[j] < 0.0:
                 b_hi = min(b_hi, 0.0)
             base, lin, q = _slice_criterion(x, j, xtx, xty, yty, lam, gamma)
             t, ft = _slice_min(base, lin, q, lam, gamma, b_lo, b_hi)
-            # Strictly-better-than-noise acceptance keeps exact starts (e.g.
-            # the OLS point when the penalty vanishes) untouched.
             if ft < best - 1e-12 * (1.0 + abs(best)):
                 x[j] = t
                 best = ft
+                moved = True
     return np.array(x), best
 
 
 def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
-    """Global minimization of the penalized criterion over a compact box.
+    """Global minimization of the penalized criterion over a box that holds
+    every global minimizer (``minimizer_box``).
 
-    Three stages: a 101-per-axis grid with the zero axes inserted as exact
-    grid lines, two 5x5-cell refinements around the incumbent, and a
-    coordinate polish run separately on the interior and on every
-    axis/origin restriction.  Each polish step moves one coordinate to the
-    exact minimum of its slice within the current sign orthant: the slice is
-    concave and then convex on each side of zero, so its minimum is an
-    endpoint or the one root of its derivative on the convex part, found by
-    safeguarded Newton to machine precision (``_slice_min``).  A coordinate
-    is reported as exactly zero whenever its axis-restricted optimum beats
-    the interior value.  If the incumbent lands within one coarse cell of the
-    box edge the box is doubled, at most twice.
+    Two stages: a 101-per-axis grid with the zero axes inserted as exact grid
+    lines, then a coordinate polish from the grid's best point and from OLS on
+    every zero restriction, that is with each subset of the coordinates whose
+    zero lies in the box pinned at exactly 0.0.  The fully pinned restriction
+    is the origin, whose value is y'y.  Each polish step moves one coordinate
+    to the exact minimum of its slice within the current sign orthant: the
+    slice is concave and then convex on each side of zero, so its minimum is
+    an endpoint or the one root of its derivative on the convex part, found by
+    safeguarded Newton to machine precision (``_slice_min``).  A coordinate is
+    reported as exactly zero whenever a restriction that pins it beats every
+    other candidate.
 
-    The criterion is evaluated through (X'X, X'y, y'y) only.  On a tensor grid
-    it is a separable sum of per-axis terms plus pairwise products, broadcast
-    into the grid array; along a polish slice it is a scalar quadratic plus
-    the penalty term, on plain floats.  The grid has up to 102^d points, so d
-    is capped at 3.
+    The criterion is evaluated through (X'X, X'y, y'y) only.  On the grid it
+    is a separable sum of per-axis terms plus pairwise products, broadcast into
+    the grid array; along a polish slice it is a scalar quadratic plus the
+    penalty term, on plain floats.  The grid has up to 102^d points, so d is
+    capped at 3.
     """
     y = np.asarray(responses, dtype=np.float64).ravel()
     X = config.design
@@ -292,60 +292,28 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
             f"d = {d} is not supported (d <= 3): the grid stage holds 102^d criterion "
             "values, and one float64 array of a 102^4 grid is 0.87 GB"
         )
-    xtx, xty, yty = _quad_parts(y, X)
+    xtx, xty, yty = X.T @ X, X.T @ y, float(y @ y)
     lam, gamma = config.lambda_n, config.gamma
+    ols, lo, hi = minimizer_box(xtx, xty, lam, gamma)
 
-    ols, lo, hi = search_box(y, X)
-    for _widening in range(3):
-        alpha, value = _solve_in_box(ols, lo, hi, xtx, xty, yty, lam, gamma, d)
-        cell = (hi - lo) / 100.0
-        near_edge = np.any(alpha <= lo + cell) or np.any(alpha >= hi - cell)
-        if not near_edge:
-            zero = alpha == 0.0
-            return LassoFit(alpha_hat=alpha, zero_flags=zero, criterion_value=value)
-        center = 0.5 * (lo + hi)
-        half = hi - center
-        lo, hi = center - 2.0 * half, center + 2.0 * half
-    raise SearchBoxError("minimizer hit the search-box boundary after 2 widenings")
-
-
-def _solve_in_box(ols, lo, hi, xtx, xty, yty, lam, gamma, d):
     # Stage 1: coarse grid with zero lines inserted.
-    axes = _grid_points(lo, hi, 101)
-    inc, inc_val = _grid_min(axes, xtx, xty, yty, lam, gamma)
+    best_x, best_val = _grid_min(_grid_points(lo, hi, 101), xtx, xty, yty, lam, gamma)
 
-    # Stage 2: refine twice on a 5x5-cell neighborhood of the incumbent.
-    cur_lo, cur_hi = lo.copy(), hi.copy()
-    for _ in range(2):
-        cell = (cur_hi - cur_lo) / 100.0
-        cur_lo = np.maximum(lo, inc - 2.5 * cell)
-        cur_hi = np.minimum(hi, inc + 2.5 * cell)
-        axes = _grid_points(cur_lo, cur_hi, 101)
-        cand, cand_val = _grid_min(axes, xtx, xty, yty, lam, gamma)
-        if cand_val < inc_val:
-            inc, inc_val = cand, cand_val
-
-    # Stage 3: polish per zero-restriction; pinned coordinates stay exact 0.0.
-    best_x, best_val = inc, inc_val
-    q_list, c_list = xtx.tolist(), xty.tolist()
-    all_coords = list(range(d))
-    for mask in range(1 << d):
-        pinned = [j for j in all_coords if (mask >> j) & 1]
-        free = [j for j in all_coords if not (mask >> j) & 1]
-        for start in (inc, ols):
-            x0 = start.copy()
-            for j in pinned:
-                x0[j] = 0.0
-            x0 = np.clip(x0, lo, hi)
-            if free:
-                x, val = _coordinate_polish(x0, lo, hi, free, q_list, c_list, yty, lam, gamma)
-            else:
-                x = x0
-                val = float(_batch_values(x[None, :], xtx, xty, yty, lam, gamma)[0])
-            for j in pinned:  # keep exact zeros through clipping/rounding
-                x[j] = 0.0
+    # Stage 2: polish per zero restriction; pinned coordinates stay exact 0.0.
+    starts = (best_x.tolist(), ols.tolist())
+    lo_list, hi_list, q_list, c_list = lo.tolist(), hi.tolist(), xtx.tolist(), xty.tolist()
+    for mask in range((1 << d) - 1):
+        pinned = [(mask >> j) & 1 for j in range(d)]
+        if any(p and not lo_list[j] <= 0.0 <= hi_list[j] for j, p in enumerate(pinned)):
+            continue
+        free = [j for j in range(d) if not pinned[j]]
+        for start in starts:
+            x0 = [0.0 if p else v for p, v in zip(pinned, start)]
+            x, val = _coordinate_polish(
+                x0, lo_list, hi_list, free, q_list, c_list, yty, lam, gamma
+            )
             if val < best_val:
                 best_x, best_val = x, val
-            if not free:
-                break  # origin does not depend on the start point
-    return best_x, best_val
+    if yty < best_val:
+        best_x, best_val = np.zeros(d), yty
+    return LassoFit(alpha_hat=best_x, zero_flags=best_x == 0.0, criterion_value=best_val)

@@ -30,7 +30,6 @@ from .distributions import SeedStream, derive_stream_index
 from .estimators import (
     DesignError,
     LassoConfig,
-    SearchBoxError,
     fit_bridge_lasso,
     fit_kmeans2_global,
     fit_shorth_sorted,
@@ -360,7 +359,7 @@ class LadderConfig:
 
 # The declared numerical failures of a replicate.  Any other exception is a
 # programming error and propagates out of run_cells.
-_NUMERICAL_FAILURES = (DesignError, SearchBoxError, BoundaryHitError)
+_NUMERICAL_FAILURES = (DesignError, BoundaryHitError)
 
 
 def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:

@@ -93,14 +93,25 @@ class ChernoffConfig:
         object.__setattr__(self, "h", float(h))
 
 
+def _validate_grid(T: float, h: float) -> int:
+    if not T > 0:
+        raise ValueError("horizon T must be positive")
+    if not 0 < h <= T:
+        raise ValueError("step h must satisfy 0 < h <= T")
+    steps = T / h
+    n = round(steps)
+    if n < 1 or abs(steps - n) > 1e-8 * max(1.0, steps):
+        raise ValueError(f"T/h = {steps} is not integral")
+    return int(n)
+
+
 def _chernoff_argmax_and_max(cfg: ChernoffConfig, stream: SeedStream):
     """Grid argmax and grid maximum of c2*t^2 + sqrt(c1)*B(t), one pair per
     path, with the tie-break and boundary rule of ``sample_chernoff_argmax``.
     The maximum is never negative: t = 0 is on the grid and B(0) = 0.  Each
-    side t = +/-j*h, j = 1..n, runs in increasing |t|, and the draws are
-    those of ``_two_sided_values``."""
-    from .distributions import _validate_grid
-
+    side t = +/-j*h, j = 1..n, runs in increasing |t|; each chunk of up to
+    512 paths draws its positive side's increments first, then its negative
+    side's."""
     n = _validate_grid(cfg.T, cfg.h)
     gen = stream.generator()
     drift = cfg.c2 * (np.arange(1, n + 1) * cfg.h) ** 2

@@ -21,7 +21,7 @@ from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
 from mixedrates.distributions import CovMatrix, SeedStream
-from mixedrates.estimators import SearchBoxError
+from mixedrates.estimators import DesignError
 from mixedrates.harness import EXPERIMENTS
 from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
 
@@ -135,7 +135,7 @@ def test_lasso_law_leaves_out_a_tolerated_failed_replicate(monkeypatch):
 
     def run(params, master_seed, n, r):
         if r == 7:
-            raise SearchBoxError("hit the box")
+            raise DesignError("hit the box")
         return lasso.run_replicate(params, master_seed, n, r)
 
     monkeypatch.setitem(EXPERIMENTS, "lasso", replace(lasso, run_replicate=run))

@@ -14,7 +14,7 @@ import mixedrates
 from mixedrates import acceptance, cli, limits
 from mixedrates.acceptance import CheckResult
 from mixedrates.distributions import SeedStream
-from mixedrates.estimators import SearchBoxError
+from mixedrates.estimators import DesignError
 from mixedrates.harness import EXPERIMENTS, Experiment, LadderRecord
 
 
@@ -220,9 +220,9 @@ def test_git_revision_is_none_without_git_or_checkout(monkeypatch):
 # order included, fails here.
 SMALL_RUN_DIGESTS = {
     "lasso": {
-        "plotdata/alpha1_loglog.csv": "690a4fe69dd4353b46bec71ddde1f81bb94b74da77b529cfa32a065194d47a2c",
-        "plotdata/alpha1_rescaled_vs_limit.csv": "331906199de6a8f523aecd504f52757cd7f3793b30b95fd3a904cabc7551390a",
-        "records.csv": "a7ef0ab0b03cc7151158fc412db8fa44dfef6cc8b39e74d78cecd4e0843f8d34",
+        "plotdata/alpha1_loglog.csv": "ad9631adde7eff179b12dbc090fca7db4e038e99953027a679ddf5a97f5e5dc1",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "8663fd4f3eda5f53e584ff957acd99d3257acfc0d10295e5f45c0601563d016b",
+        "records.csv": "d264ad5f0af205c27e637d3561c40fde63a5458002b61cbd646ebf0b19bc3070",
         "summary.json": "f76bd1b5103cc2202a4d9e57eb677673a525065f1bd836eff63acdca4394773e",
     },
     "shorth": {
@@ -266,7 +266,7 @@ def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path):
 
     def run(params, master_seed, n, r):
         if (n, r) == (800, 7):
-            raise SearchBoxError("hit the box")
+            raise DesignError("hit the box")
         return shorth.run_replicate(params, master_seed, n, r)
 
     monkeypatch.setitem(EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicate=run))
@@ -276,7 +276,7 @@ def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path):
         "--replicates", "100", "--seed", "5", "--out-dir", str(out),
     ]
     assert run_cli(argv) == 0
-    assert "failed:SearchBoxError" in (out / "records.csv").read_text()
+    assert "failed:DesignError" in (out / "records.csv").read_text()
     summary = json.loads((out / "summary.json").read_text())
     for comp in shorth.rates:
         loglog = (out / "plotdata" / f"{comp}_loglog.csv").read_text().splitlines()

@@ -10,9 +10,8 @@ from mixedrates.distributions import (
     derive_stream_index,
     sample_gaussian_vector,
     sample_two_line,
-    _two_sided_values,
-    _validate_grid,
 )
+from mixedrates.limits import _validate_grid
 
 S = SeedStream(20240611, 0)
 
@@ -116,13 +115,29 @@ class TestGaussianVector:
             CovMatrix([[1.0, 0.5], [0.2, 1.0]])
 
 
+def two_sided_values(gen: np.random.Generator, paths: int, n: int, h: float) -> np.ndarray:
+    """(paths, 2n+1) matrix of B on the grid; column n is the pinned origin.
+
+    Increment draw order is fixed (positive side first, then negative) so a
+    given stream always reproduces the same paths.
+    """
+    sd = np.sqrt(h)
+    pos = np.cumsum(gen.standard_normal((paths, n)) * sd, axis=1)
+    neg = np.cumsum(gen.standard_normal((paths, n)) * sd, axis=1)
+    out = np.empty((paths, 2 * n + 1), dtype=np.float64)
+    out[:, n] = 0.0
+    out[:, n + 1 :] = pos
+    out[:, :n] = neg[:, ::-1]
+    return out
+
+
 class TestBrownianPath:
     """The two-sided grid paths that the Chernoff kernel's tests use as
     their reference."""
 
     def test_origin_pinned_exactly(self):
         n = _validate_grid(2.0, 0.25)
-        V = _two_sided_values(SeedStream(6, 0).generator(), 3, n, 0.25)
+        V = two_sided_values(SeedStream(6, 0).generator(), 3, n, 0.25)
         assert V.shape == (3, 17)
         assert np.all(V[:, n] == 0.0)
 
@@ -135,18 +150,18 @@ class TestBrownianPath:
             _validate_grid(1.0, 0.3)  # T/h not integral
 
     def test_endpoint_variances(self):
-        V = _two_sided_values(SeedStream(6, 1).generator(), 10_000, 100, 0.01)
+        V = two_sided_values(SeedStream(6, 1).generator(), 10_000, 100, 0.01)
         assert abs(V[:, -1].var() - 1.0) < 0.05  # B(1)
         assert abs(V[:, 0].var() - 1.0) < 0.05  # B(-1)
 
     def test_covariance_structure(self):
         # Cov(B(s), B(t)) = min(s, t) on one side and 0 across the origin
-        V = _two_sided_values(SeedStream(6, 2).generator(), 10_000, 100, 0.01)
+        V = two_sided_values(SeedStream(6, 2).generator(), 10_000, 100, 0.01)
         b_05, b_10, b_m05 = V[:, 150], V[:, 200], V[:, 50]
         assert abs(np.mean(b_05 * b_10) - 0.5) < 0.05
         assert abs(np.mean(b_m05 * b_10)) < 0.05
 
     def test_replay(self):
-        a = _two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
-        b = _two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
+        a = two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
+        b = two_sided_values(SeedStream(6, 3).generator(), 2, 100, 0.01)
         assert np.array_equal(a, b)

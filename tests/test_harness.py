@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from mixedrates.estimators import SearchBoxError
+from mixedrates.estimators import DesignError
 from mixedrates.harness import (
     EXPERIMENTS,
     HarnessError,
@@ -147,25 +147,25 @@ class TestReplicateFailures:
             run_cells("shorth", [100, 200], 100, 5, workers=1)
 
     def test_numerical_failure_is_flagged_and_tolerated(self, monkeypatch):
-        exc = SearchBoxError("hit the box, twice\nat n = 100")
+        exc = DesignError("hit the box, twice\nat n = 100")
         self._fail(monkeypatch, exc, {7})
         recs = run_cells("shorth", [100, 200], 100, 5, workers=1)
         failed = [rec for rec in recs if rec.diag_flags.startswith("failed:")]
         assert [(rec.n, rec.replicate) for rec in failed] == [(100, 7), (100, 7), (200, 7), (200, 7)]
-        assert failed[0].diag_flags == "failed:SearchBoxError: hit the box; twice at n = 100"
+        assert failed[0].diag_flags == "failed:DesignError: hit the box; twice at n = 100"
         assert all(math.isnan(rec.error) for rec in failed)
         lines = records_to_csv_lines(recs)
         assert len(lines) == 1 + len(recs)
         assert all(line.count(",") == 8 for line in lines)
 
     def test_numerical_failures_above_gate_raise(self, monkeypatch):
-        exc = SearchBoxError("hit the box")
+        exc = DesignError("hit the box")
         self._fail(monkeypatch, exc, {7, 8})
         with pytest.raises(HarnessError, match="4 of 200 replicates failed") as err:
             run_cells("shorth", [100, 200], 100, 5, workers=1)
         # each distinct failure message, with its count and where it first occurred
         assert str(err.value).splitlines()[1:] == [
-            "  4 x SearchBoxError: hit the box (first at n = 100, r = 7)"
+            "  4 x DesignError: hit the box (first at n = 100, r = 7)"
         ]
 
 
@@ -180,7 +180,7 @@ class TestCompareWithLimit:
         monkeypatch.setitem(EXPERIMENTS["lasso"].laws, "alpha1", law)
         recs = [LadderRecord("lasso", 400, r, "alpha1", 0.01 * r) for r in range(5)]
         recs += [
-            LadderRecord("lasso", 400, 5, "alpha1", math.nan, diag_flags="failed:SearchBoxError: x"),
+            LadderRecord("lasso", 400, 5, "alpha1", math.nan, diag_flags="failed:DesignError: x"),
             LadderRecord("lasso", 100, 0, "alpha1", 1.0),  # another rung
             LadderRecord("lasso", 400, 0, "alpha2", 1.0),  # another component
         ]

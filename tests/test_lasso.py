@@ -8,11 +8,10 @@ from mixedrates.estimators import (
     LassoConfig,
     fit_bridge_lasso,
     generate_lasso_design,
-    search_box,
+    minimizer_box,
 )
 from mixedrates.estimators.lasso import (
     _axis_grid,
-    _batch_values,
     _grid_min,
     _grid_points,
     _grid_values,
@@ -29,13 +28,27 @@ def criterion_value(alpha, y, config):
     return float(resid @ resid + config.lambda_n * np.sum(np.abs(a) ** config.gamma))
 
 
+def batch_values(A, xtx, xty, yty, lam, gamma):
+    """Gram-form reference: the criterion at each row of ``A``, O(d^2) per
+    point."""
+    quad = np.einsum("ij,jk,ik->i", A, xtx, A)
+    return yty - 2.0 * (A @ xty) + quad + lam * np.sum(np.abs(A) ** gamma, axis=1)
+
+
+def box_of(y, cfg):
+    """The solver's ``minimizer_box`` for one instance: (ols, lo, hi)."""
+    X = cfg.design
+    return minimizer_box(X.T @ X, X.T @ y, cfg.lambda_n, cfg.gamma)
+
+
 def brute_force_minimum(y, cfg, points=2001):
-    """Dense-grid oracle over the solver's own search box, zero lines included.
+    """Dense-grid oracle over the box that holds the global minimizer, zero
+    lines included.
 
     With a = (a1, a2) the criterion is y'y + u1(a1) + u2(a2) + 2 Q12 a1 a2,
     u_j(a) = Q_jj a^2 - 2 (X'y)_j a + lambda |a|^gamma: each block of grid
     rows is one outer product plus the two per-axis terms."""
-    _, lo, hi = search_box(y, cfg.design)
+    _, lo, hi = box_of(y, cfg)
     axes = []
     for j in range(2):
         g = np.linspace(lo[j], hi[j], points)
@@ -129,7 +142,7 @@ class TestBridgeLassoSolver:
         for seed in range(5):
             y, cfg = make_instance(60, 200 + seed)
             fit = fit_bridge_lasso(y, cfg)
-            ols, _, _ = search_box(y, cfg.design)
+            ols = np.linalg.lstsq(cfg.design, y, rcond=None)[0]
             assert fit.criterion_value <= criterion_value(ols, y, cfg) + 1e-9
             assert fit.criterion_value <= criterion_value([0.0, 0.0], y, cfg) + 1e-9
 
@@ -180,7 +193,7 @@ class TestCriterionKernels:
             for t in [0.0, *gen.normal(0.0, 3.0, size=5)]:
                 pt = x.copy()
                 pt[j] = t
-                ref = _batch_values(pt[None, :], xtx, xty, yty, lam, gamma)[0]
+                ref = batch_values(pt[None, :], xtx, xty, yty, lam, gamma)[0]
                 value = base + t * (lin + q * t) + lam * abs(t) ** gamma
                 assert value == pytest.approx(ref, rel=1e-12)
 
@@ -193,13 +206,13 @@ class TestCriterionKernels:
         axes = _grid_points(center - 4.0, center + 4.0, 41 if d == 3 else 101)
         mesh = np.meshgrid(*axes, indexing="ij")
         A = np.column_stack([m.ravel() for m in mesh])
-        ref = _batch_values(A, xtx, xty, yty, lam, gamma)
+        ref = batch_values(A, xtx, xty, yty, lam, gamma)
         sep = _grid_values(axes, xtx, xty, yty, lam, gamma)
         assert sep.shape == tuple(a.size for a in axes)
         np.testing.assert_allclose(sep.ravel(), ref, rtol=1e-12)
         point, value = _grid_min(axes, xtx, xty, yty, lam, gamma)
         assert value == pytest.approx(ref.min(), rel=1e-12)
-        at_point = _batch_values(point[None, :], xtx, xty, yty, lam, gamma)[0]
+        at_point = batch_values(point[None, :], xtx, xty, yty, lam, gamma)[0]
         assert at_point == pytest.approx(ref.min(), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -210,7 +223,7 @@ class TestCriterionKernels:
         y = X @ beta + s.child("noise").generator().standard_normal(8)
         cfg = LassoConfig(design=X, beta_true=beta, gamma=0.5, lambda0=2.0)
         fit = fit_bridge_lasso(y, cfg)
-        best = dense_grid_min_3d(y, cfg)
+        best = residual_grid_min(y, cfg, *box_of(y, cfg)[1:], points=201)
         assert fit.criterion_value <= best + 1e-12 * abs(best)
         assert fit.criterion_value == pytest.approx(
             criterion_value(fit.alpha_hat, y, cfg), rel=1e-12
@@ -301,27 +314,97 @@ class TestSoftThreshold:
         assert fit.zero_flags.tolist() == (expected == 0.0).tolist()
         np.testing.assert_allclose(fit.alpha_hat, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_non_orthogonal_fits_meet_the_kkt_conditions(self, n):
+        # At gamma = 1 the criterion is convex, and b is its minimizer iff
+        # g = 2 (X'y - X'X b) has g_j = lam sign(b_j) where b_j != 0 and
+        # |g_j| <= lam where b_j = 0.  A coordinate that should be exactly
+        # zero but is reported nonzero misses the first by up to 2 lam.
+        # With a zero coordinate the other is its slice's exact minimizer.
+        # With none, the polish stops once no slice step lowers f by more
+        # than 1e-12 (1 + f), which leaves |g_j - lam sign(b_j)| up to
+        # 2 sqrt(Q_jj 1e-12 (1 + f)).
+        for r in range(60):
+            s = SeedStream(2024, r)
+            X = generate_lasso_design(n, 2, s)
+            y = X @ np.array([1.0, 0.0]) + s.child("noise").generator().standard_normal(n)
+            cfg = LassoConfig(design=X, beta_true=[1.0, 0.0], gamma=1.0, lambda0=2.0)
+            fit = fit_bridge_lasso(y, cfg)
+            b, lam, xtx = fit.alpha_hat, cfg.lambda_n, X.T @ X
+            g = 2.0 * (X.T @ y - xtx @ b)
+            tol = np.full(2, 1e-9 * lam)
+            if not fit.zero_flags.any():
+                tol += 2.0 * np.sqrt(np.diag(xtx) * 1e-12 * (1.0 + fit.criterion_value))
+            nonzero = ~fit.zero_flags
+            assert np.all(np.abs(g - lam * np.sign(b))[nonzero] <= tol[nonzero]), (r, b, g / lam)
+            assert np.all(np.abs(g)[~nonzero] <= lam + tol[~nonzero]), (r, b, g / lam)
 
-def dense_grid_min_3d(y, cfg, points=201):
-    """Dense-grid oracle for d = 3 over the solver's search box, zero planes
-    included, evaluated from the residuals."""
+
+def residual_grid_min(y, cfg, lo, hi, points):
+    """Dense-grid oracle for d = 2 or 3 over the box [lo, hi], zero lines
+    included, evaluated from the residuals: one block of grid points per
+    value of the first coordinate."""
     X, lam, gamma = cfg.design, cfg.lambda_n, cfg.gamma
-    _, lo, hi = search_box(y, X)
-    axes = []
-    for j in range(3):
-        g = np.linspace(lo[j], hi[j], points)
-        if lo[j] < 0.0 < hi[j]:
-            g = np.sort(np.append(g, 0.0))
-        axes.append(g)
-    A1, A2 = (m.ravel() for m in np.meshgrid(axes[1], axes[2], indexing="ij"))
-    fitted12 = np.outer(A1, X[:, 1]) + np.outer(A2, X[:, 2])
-    pen12 = lam * (np.abs(A1) ** gamma + np.abs(A2) ** gamma)
+    axes = [
+        np.union1d(np.linspace(a, b, points), [0.0] if a < 0.0 < b else [])
+        for a, b in zip(lo, hi)
+    ]
+    rest = [m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")]
+    fitted = sum(np.outer(a, X[:, k + 1]) for k, a in enumerate(rest))
+    pen = lam * sum(np.abs(a) ** gamma for a in rest)
     best = math.inf
     for a0 in axes[0]:
-        resid = (y - a0 * X[:, 0])[None, :] - fitted12
-        vals = np.sum(resid**2, axis=1) + pen12 + lam * abs(a0) ** gamma
+        resid = (y - a0 * X[:, 0])[None, :] - fitted
+        vals = np.sum(resid**2, axis=1) + pen + lam * abs(a0) ** gamma
         best = min(best, float(vals.min()))
     return best
+
+
+def oracle_instance(stream, d):
+    """An instance of the ``oracle-lasso-brute-force`` kind at seed 1729:
+    n = 6, truth (6, -3) for d = 2 and (1, 0, 0) for d = 3."""
+    s = SeedStream(1729, stream)
+    X = generate_lasso_design(6, d, s)
+    beta = np.array([6.0, -3.0] if d == 2 else [1.0, 0.0, 0.0])
+    y = X @ beta + s.child("y").generator().standard_normal(6)
+    return y, LassoConfig(X, beta, gamma=0.5, lambda0=2.0)
+
+
+class TestMinimizerBox:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [6, 250])
+    @pytest.mark.parametrize("signal", [False, True])
+    def test_criterion_outside_the_box_is_above_ols_and_origin(self, d, n, signal):
+        # f(b) > min(f(ols), f(0)) >= f(b*) everywhere outside the box, so no
+        # global minimizer lies outside it
+        gen = np.random.default_rng([d, n, signal])
+        beta = np.zeros(d)
+        beta[:2] = [6.0, -3.0] if signal else [1.0, 0.0]
+        for r in range(20):
+            s = SeedStream(400 + n, 10 * d + r)
+            X = generate_lasso_design(n, d, s)
+            y = X @ beta + s.child("noise").generator().standard_normal(n)
+            cfg = LassoConfig(X, beta, gamma=0.5, lambda0=2.0)
+            ols, lo, hi = box_of(y, cfg)
+            bound = min(criterion_value(ols, y, cfg), criterion_value(np.zeros(d), y, cfg))
+            half = 0.5 * (hi - lo)
+            u = gen.uniform(-1.5, 1.5, size=(200, d))
+            u = u[np.max(np.abs(u), axis=1) > 1.0]
+            for b in ols + u * half:
+                assert criterion_value(b, y, cfg) >= bound
+
+    @pytest.mark.parametrize("stream, d", [(3116, 2), (3136, 2), (3139, 2), (3092, 3)])
+    def test_fit_never_above_a_grid_that_also_covers_the_heuristic_box(self, stream, d):
+        # The heuristic box OLS +/- 4 max(1, rms residual) missed the global
+        # minimizer of these instances; the grid covers both boxes.
+        y, cfg = oracle_instance(stream, d)
+        ols, lo, hi = box_of(y, cfg)
+        resid = y - cfg.design @ ols
+        w = 4.0 * max(1.0, math.sqrt(float(resid @ resid) / cfg.n))
+        lo, hi = np.minimum(lo, ols - w), np.maximum(hi, ols + w)
+        best = residual_grid_min(y, cfg, lo, hi, points=2001 if d == 2 else 201)
+        fit = fit_bridge_lasso(y, cfg)
+        assert fit.criterion_value <= best + 1e-12 * abs(best)
 
 
 class TestDimensionCap:

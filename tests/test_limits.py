@@ -9,12 +9,7 @@ from scipy.optimize import minimize
 from scipy.special import airy
 from scipy.stats import kstwobign
 
-from mixedrates.distributions import (
-    SeedStream,
-    _two_sided_values,
-    _validate_grid,
-    sample_gaussian_vector,
-)
+from mixedrates.distributions import SeedStream, sample_gaussian_vector
 from mixedrates.estimators import shorth_population
 from mixedrates.harness import ks_two_sample
 from mixedrates.limits import (
@@ -25,6 +20,7 @@ from mixedrates.limits import (
     LinearizationGateError,
     _chernoff_argmax_and_max,
     _linearization_gate,
+    _validate_grid,
     chernoff_scale,
     empirical_criterion_diff,
     estimate_kmeans_cov,
@@ -38,6 +34,7 @@ from mixedrates.limits import (
     slow_block_closed_form,
     slow_block_objective,
 )
+from test_distributions import two_sided_values
 
 
 def _grid_min_slow(z1, lo, hi, points=201):
@@ -108,7 +105,7 @@ def lexsort_argmax_and_max(cfg, stream):
     argmax, maximum = [], []
     for start in range(0, cfg.paths, 512):
         m = min(512, cfg.paths - start)
-        obj = _two_sided_values(gen, m, n, cfg.h)[:, perm] * math.sqrt(cfg.c1) + drift_perm
+        obj = two_sided_values(gen, m, n, cfg.h)[:, perm] * math.sqrt(cfg.c1) + drift_perm
         idx = np.argmax(obj, axis=1)
         argmax.append(t_perm[idx])
         maximum.append(obj[np.arange(m), idx])
