@@ -6,12 +6,17 @@ thresholds, ~20 s) and ``quick`` (reduced scale smoke thresholds, ~6 s),
 timed with two worker processes on 2 cores.  Checks are deterministic given
 the master seed.
 
+Every limit-law check is one ``_law_check`` (KS distance, with the empirical
+and reference mean and sd) and every rate check one ``_slope_check`` (log-log
+slopes with their standard errors, against bands).
+
 The half-length check ``shorth-r-law`` compares sqrt(n)(r_n - rho) with its
 second-order law -(Z + n^(-1/6) S)/c1: Z ~ N(0, 1/4) is the centered
 coverage of [-rho, rho], and S >= 0 is the maximum of the drifted Brownian
 motion whose argmax is the center's limit.  The n^(-1/6) S term is a
 location shift of about -0.24 at n = 64000, so the first-order Gaussian
--Z/c1 alone does not fit at desk scale.
+-Z/c1 alone does not fit at desk scale; the tests require the check to
+reject it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .estimators import (
     fit_shorth,
     generate_lasso_design,
     minimizer_box,
-    shorth_population,
 )
 from .harness import EXPERIMENTS, compare_with_limit, fit_rate, ks_two_sample, run_cells
 from .limits import (
@@ -65,13 +69,22 @@ def format_result(res: CheckResult) -> str:
     return f"[{status}] {res.name}: {res.detail or res.threshold}"
 
 
+# Settings both tiers share.
+LASSO_ZERO_TOP = 0.80
+SHORTH_R_KS_TOL = 0.06
+KMEANS_LADDER = (1000, 2000, 4000, 8000, 16000)
+# two-sample KS null at 10000 vs 10000 draws: 99th percentile
+# 1.63 sqrt(2/10000) = 0.023, under the 0.03 tolerance (at 4000 draws the
+# tolerance sat at the 95th percentile)
+ORACLE_CHERNOFF_DRAWS = 10_000
+
+
 @dataclass(frozen=True)
 class TierParams:
     name: str
     # penalized regression
     lasso_ladder: tuple[int, ...]
     lasso_replicates: int
-    lasso_zero_top: float
     lasso_ks_n: int
     lasso_ks_replicates: int
     lasso_ks_tol: float
@@ -82,10 +95,8 @@ class TierParams:
     shorth_r_band: tuple[float, float]
     shorth_ks_n: int
     shorth_ks_replicates: int
-    shorth_r_ks_tol: float
     shorth_m_ks_tol: float
     # k-means
-    kmeans_ladder: tuple[int, ...]
     kmeans_replicates: int
     kmeans_slow_band: tuple[float, float]
     kmeans_fast_band: tuple[float, float]
@@ -100,14 +111,12 @@ class TierParams:
     oracle_shorth_instances: int
     oracle_lasso_instances: int
     oracle_tstar_instances: int
-    oracle_chernoff_draws: int
 
 
 FULL = TierParams(
     name="full",
     lasso_ladder=(250, 500, 1000, 2000, 4000),
     lasso_replicates=500,
-    lasso_zero_top=0.80,
     lasso_ks_n=4000,
     lasso_ks_replicates=2000,
     lasso_ks_tol=0.07,
@@ -117,9 +126,7 @@ FULL = TierParams(
     shorth_r_band=(-0.58, -0.42),
     shorth_ks_n=64000,
     shorth_ks_replicates=2000,
-    shorth_r_ks_tol=0.06,
     shorth_m_ks_tol=0.10,
-    kmeans_ladder=(1000, 2000, 4000, 8000, 16000),
     kmeans_replicates=300,
     kmeans_slow_band=(-0.32, -0.18),
     kmeans_fast_band=(-0.60, -0.40),
@@ -133,7 +140,6 @@ FULL = TierParams(
     oracle_shorth_instances=200,
     oracle_lasso_instances=100,
     oracle_tstar_instances=100,
-    oracle_chernoff_draws=10_000,
 )
 
 # Smoke tier: same checks at reduced scale; slope/KS thresholds widened for
@@ -142,7 +148,6 @@ QUICK = TierParams(
     name="quick",
     lasso_ladder=(250, 500, 1000, 2000),
     lasso_replicates=150,
-    lasso_zero_top=0.80,
     lasso_ks_n=2000,
     lasso_ks_replicates=400,
     lasso_ks_tol=0.12,
@@ -155,9 +160,7 @@ QUICK = TierParams(
     # is 0.0515 at R = 2000, under the 0.06 tolerance (at R = 400 the null
     # median alone was 0.059)
     shorth_ks_replicates=2000,
-    shorth_r_ks_tol=0.06,
     shorth_m_ks_tol=0.15,
-    kmeans_ladder=(1000, 2000, 4000, 8000, 16000),
     kmeans_replicates=60,
     kmeans_slow_band=(-0.38, -0.12),
     kmeans_fast_band=(-0.70, -0.34),
@@ -171,10 +174,6 @@ QUICK = TierParams(
     oracle_shorth_instances=60,
     oracle_lasso_instances=24,
     oracle_tstar_instances=30,
-    # two-sample KS null at 10000 vs 10000 draws: 99th percentile
-    # 1.63 sqrt(2/10000) = 0.023, under the 0.03 tolerance (at 4000 draws the
-    # tolerance sat at the 95th percentile)
-    oracle_chernoff_draws=10_000,
 )
 
 TIERS = {"full": FULL, "quick": QUICK}
@@ -210,6 +209,60 @@ def check_rate_calculus() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# the two kinds of statistical check
+
+
+def _law_check(name: str, experiment: str, components, n: int, draws: int, tol: float,
+               records, seed: int) -> CheckResult:
+    """Each component's errors at ``n``, rescaled by its theoretical rate,
+    against ``draws`` draws of its limit law (``compare_with_limit``).
+    ``measured`` holds the KS distance and the empirical and reference mean
+    and sd, each key suffixed ``_<component>`` when there is more than one
+    component.  Passes iff every KS is at most ``tol``."""
+    measured, lines, passed = {}, [], True
+    for c in components:
+        law = compare_with_limit(experiment, records, c, n, seed, draws)
+        stats = {
+            "ks": law.ks,
+            "emp_mean": float(law.rescaled.mean()),
+            "emp_sd": float(law.rescaled.std()),
+            "ref_mean": float(law.draws.mean()),
+            "ref_sd": float(law.draws.std()),
+        }
+        suffix = f"_{c}" if len(components) > 1 else ""
+        measured.update({key + suffix: v for key, v in stats.items()})
+        passed &= law.ks <= tol
+        lines.append(
+            f"{c}: KS = {law.ks:.4f}, mean {stats['emp_mean']:+.3f} vs "
+            f"{stats['ref_mean']:+.3f}, sd {stats['emp_sd']:.3f} vs {stats['ref_sd']:.3f}"
+        )
+    return CheckResult(
+        name=name,
+        passed=passed,
+        measured=measured,
+        threshold=f"KS <= {tol} for {', '.join(components)} at n = {n}",
+        detail="; ".join(lines) + f" (tol {tol})",
+    )
+
+
+def _slope_check(name: str, records, bands) -> CheckResult:
+    """Each component's log-log slope of median |error| (``fit_rate``) with
+    its standard error; passes iff every slope lies in its band, ``bands``
+    mapping components to (lo, hi)."""
+    fits = {c: fit_rate(records, c) for c in bands}
+    slopes = {c: fit.slope for c, fit in fits.items()}
+    return CheckResult(
+        name=name,
+        passed=all(lo <= slopes[c] <= hi for c, (lo, hi) in bands.items()),
+        measured={"slopes": slopes, "se": {c: fit.slope_se for c, fit in fits.items()}},
+        threshold=", ".join(f"slope({c}) in {band}" for c, band in bands.items()),
+        detail="slopes " + ", ".join(
+            f"{c} = {fit.slope:.3f} (se {fit.slope_se:.3f})" for c, fit in fits.items()
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
 # 2 & 3. penalized regression
 
 
@@ -228,27 +281,21 @@ def check_lasso_zero_collapse(tier: TierParams, seed: int, workers: int = 1) -> 
         for j in inversions
     )
     top = fracs[-1][1]
-    passed = len(inversions) <= 1 and within and top >= tier.lasso_zero_top
+    passed = len(inversions) <= 1 and within and top >= LASSO_ZERO_TOP
     return CheckResult(
         name="lasso-zero-collapse",
         passed=passed,
         measured={"fractions": [(n, p) for n, p, _ in fracs]},
-        threshold=f"nondecreasing (<=1 inversion within 2 se), >= {tier.lasso_zero_top} at top n",
+        threshold=f"nondecreasing (<=1 inversion within 2 se), >= {LASSO_ZERO_TOP} at top n",
         detail="zero fractions " + ", ".join(f"{n}:{p:.3f}" for n, p, _ in fracs),
     )
 
 
 def check_lasso_first_component(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
-    n = tier.lasso_ks_n
-    recs = run_cells("lasso", [n], tier.lasso_ks_replicates, seed + 1, None, workers)
-    law = compare_with_limit("lasso", recs, "alpha1", n, seed, tier.lasso_ks_replicates)
-    ks, emp = law.ks, law.rescaled
-    return CheckResult(
-        name="lasso-first-component-law",
-        passed=ks <= tier.lasso_ks_tol,
-        measured={"ks": ks, "emp_mean": float(emp.mean()), "emp_sd": float(emp.std())},
-        threshold=f"KS <= {tier.lasso_ks_tol} at n = {n}",
-        detail=f"KS = {ks:.4f} (tol {tier.lasso_ks_tol})",
+    n, R = tier.lasso_ks_n, tier.lasso_ks_replicates
+    recs = run_cells("lasso", [n], R, seed + 1, None, workers)
+    return _law_check(
+        "lasso-first-component-law", "lasso", ["alpha1"], n, R, tier.lasso_ks_tol, recs, seed
     )
 
 
@@ -258,19 +305,7 @@ def check_lasso_first_component(tier: TierParams, seed: int, workers: int = 1) -
 
 def check_shorth_rates(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
     recs = run_cells("shorth", tier.shorth_ladder, tier.shorth_replicates, seed + 2, None, workers)
-    est_m = fit_rate(recs, "m")
-    est_r = fit_rate(recs, "r")
-    lo_m, hi_m = tier.shorth_m_band
-    lo_r, hi_r = tier.shorth_r_band
-    passed = lo_m <= est_m.slope <= hi_m and lo_r <= est_r.slope <= hi_r
-    return CheckResult(
-        name="shorth-rates",
-        passed=passed,
-        measured={"slope_m": est_m.slope, "slope_r": est_r.slope,
-                  "se_m": est_m.slope_se, "se_r": est_r.slope_se},
-        threshold=f"slope(m) in {tier.shorth_m_band}, slope(r) in {tier.shorth_r_band}",
-        detail=f"slope m = {est_m.slope:.3f}, slope r = {est_r.slope:.3f}",
-    )
+    return _slope_check("shorth-rates", recs, {"m": tier.shorth_m_band, "r": tier.shorth_r_band})
 
 
 def _shorth_ks_records(tier: TierParams, seed: int, workers: int):
@@ -280,68 +315,27 @@ def _shorth_ks_records(tier: TierParams, seed: int, workers: int):
     )
 
 
+def _shorth_law(component: str, tier: TierParams, seed: int, records) -> CheckResult:
+    tol = SHORTH_R_KS_TOL if component == "r" else tier.shorth_m_ks_tol
+    return _law_check(
+        f"shorth-{component}-law", "shorth", [component], tier.shorth_ks_n,
+        tier.shorth_ks_replicates, tol, records, seed,
+    )
+
+
 def check_shorth_r_law(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
     """Half-length law: sqrt(n)(r_n - rho) against -(Z + n^(-1/6) S)/c1.
 
     Z ~ N(0, 1/4) is the centered coverage of [-rho, rho] and S >= 0 the
     maximum of the drifted Brownian motion whose argmax is the center's limit
     (the registry's law for ``r``: Z draws from stream 780, S paths from
-    stream 781).  The detail also reports KS against the Var Z = 1/2 law once
-    stated for this check and against the first-order law -Z/c1 (stream 777),
-    both of which the simulated law rejects, and the empirical mean beside
-    the mean of the reference draws, whose expectation is -E[S] n^(-1/6)/c1.
+    stream 781).  The reference mean has expectation -E[S] n^(-1/6)/c1.
     """
-    return _shorth_r_law(tier, seed, _shorth_ks_records(tier, seed, workers))
-
-
-def _shorth_r_law(tier: TierParams, seed: int, recs) -> CheckResult:
-    pop = shorth_population()
-    n = tier.shorth_ks_n
-    R = tier.shorth_ks_replicates
-    law = compare_with_limit("shorth", recs, "r", n, seed, R)
-    ks, emp_r, draws = law.ks, law.rescaled, law.draws
-    stated = SeedStream(seed, 779).generator().normal(0.0, math.sqrt(0.5) / pop.c1, R)
-    first_order = SeedStream(seed, 777).generator().normal(0.0, 0.5 / pop.c1, R)
-    ks_stated = ks_two_sample(emp_r, stated)
-    ks_first = ks_two_sample(emp_r, first_order)
-    emp_mean = float(emp_r.mean())
-    ref_mean = float(draws.mean())
-    return CheckResult(
-        name="shorth-r-law",
-        passed=ks <= tier.shorth_r_ks_tol,
-        measured={
-            "ks": ks,
-            "ks_stated_var_half": ks_stated,
-            "ks_first_order_var_quarter": ks_first,
-            "emp_mean": emp_mean,
-            "ref_mean": ref_mean,
-            "emp_sd": float(emp_r.std()),
-        },
-        threshold=f"KS <= {tier.shorth_r_ks_tol} at n = {n}",
-        detail=(
-            f"KS = {ks:.4f} vs -(Z + n^(-1/6) S)/c1 (tol {tier.shorth_r_ks_tol}); "
-            f"vs stated Var Z = 1/2: {ks_stated:.4f}; vs first-order Var Z = 1/4: "
-            f"{ks_first:.4f}; mean {emp_mean:+.3f} vs reference {ref_mean:+.3f} "
-            f"(expected -E[S] n^(-1/6)/c1)"
-        ),
-    )
+    return _shorth_law("r", tier, seed, _shorth_ks_records(tier, seed, workers))
 
 
 def check_shorth_m_law(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
-    return _shorth_m_law(tier, seed, _shorth_ks_records(tier, seed, workers))
-
-
-def _shorth_m_law(tier: TierParams, seed: int, recs) -> CheckResult:
-    ks = compare_with_limit(
-        "shorth", recs, "m", tier.shorth_ks_n, seed, tier.shorth_ks_replicates
-    ).ks
-    return CheckResult(
-        name="shorth-m-law",
-        passed=ks <= tier.shorth_m_ks_tol,
-        measured={"ks": ks},
-        threshold=f"KS <= {tier.shorth_m_ks_tol} at n = {tier.shorth_ks_n}",
-        detail=f"KS = {ks:.4f} vs drifted-argmax draws (tol {tier.shorth_m_ks_tol})",
-    )
+    return _shorth_law("m", tier, seed, _shorth_ks_records(tier, seed, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +343,11 @@ def _shorth_m_law(tier: TierParams, seed: int, recs) -> CheckResult:
 
 
 def check_kmeans_rates(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
-    recs = run_cells(
-        "kmeans", tier.kmeans_ladder, tier.kmeans_replicates, seed + 4, None, workers
-    )
-    rates = EXPERIMENTS["kmeans"].rates
-    slopes = {c: fit_rate(recs, c).slope for c in rates}
+    recs = run_cells("kmeans", KMEANS_LADDER, tier.kmeans_replicates, seed + 4, None, workers)
     # the slow block converges at n^(-1/4), the fast block at n^(-1/2)
     bands = {Fraction(1, 4): tier.kmeans_slow_band, Fraction(1, 2): tier.kmeans_fast_band}
-    passed = all(bands[rates[c]][0] <= slopes[c] <= bands[rates[c]][1] for c in slopes)
-    return CheckResult(
-        name="kmeans-rates",
-        passed=passed,
-        measured={"slopes": slopes},
-        threshold=(
-            f"slow-block slopes in {tier.kmeans_slow_band}, "
-            f"fast-block slopes in {tier.kmeans_fast_band}"
-        ),
-        detail="slopes " + ", ".join(f"{c}={v:.3f}" for c, v in slopes.items()),
-    )
+    rates = EXPERIMENTS["kmeans"].rates
+    return _slope_check("kmeans-rates", recs, {c: bands[tau] for c, tau in rates.items()})
 
 
 def check_kmeans_split(tier: TierParams, seed: int, workers: int = 1) -> CheckResult:
@@ -389,19 +370,11 @@ def check_kmeans_limits(tier: TierParams, seed: int, workers: int = 1) -> CheckR
     """Rescaled delta_s and delta_d errors at n = ``kmeans_ks_n`` against
     draws of the two-stage limit with its exact score covariance 4 I
     (``KMEANS_SIGMA``, checked by ``oracle-score-linearization``)."""
-    n = tier.kmeans_ks_n
-    recs = run_cells("kmeans", [n], tier.kmeans_ks_replicates, seed + 6, None, workers)
-    ks_ds, ks_dd = (
-        compare_with_limit("kmeans", recs, c, n, seed, tier.kmeans_ks_replicates).ks
-        for c in ("delta_s", "delta_d")
-    )
-    tol = tier.kmeans_ks_tol
-    return CheckResult(
-        name="kmeans-limit-laws",
-        passed=ks_ds <= tol and ks_dd <= tol,
-        measured={"ks_delta_s": ks_ds, "ks_delta_d": ks_dd},
-        threshold=f"KS <= {tol} for delta_s (rate 1/4) and delta_d (rate 1/2) at n = {n}",
-        detail=f"KS delta_s = {ks_ds:.4f}, delta_d = {ks_dd:.4f} (tol {tol})",
+    n, R = tier.kmeans_ks_n, tier.kmeans_ks_replicates
+    recs = run_cells("kmeans", [n], R, seed + 6, None, workers)
+    return _law_check(
+        "kmeans-limit-laws", "kmeans", ["delta_s", "delta_d"], n, R, tier.kmeans_ks_tol,
+        recs, seed,
     )
 
 
@@ -548,7 +521,7 @@ def check_oracle_tstar(tier: TierParams, seed: int) -> CheckResult:
 def check_oracle_chernoff_scaling(tier: TierParams, seed: int) -> CheckResult:
     """Brownian scaling: the (1, -2) argmax times a(1, -1)/a(1, -2) = 2^(2/3)
     has the law of the (1, -1) argmax, a = ``chernoff_scale``."""
-    paths = tier.oracle_chernoff_draws
+    paths = ORACLE_CHERNOFF_DRAWS
     d1 = sample_chernoff_argmax(ChernoffConfig(1.0, -1.0, paths=paths), SeedStream(seed, 5001))
     d2 = sample_chernoff_argmax(ChernoffConfig(1.0, -2.0, paths=paths), SeedStream(seed, 5002))
     factor = chernoff_scale(1.0, -1.0) / chernoff_scale(1.0, -2.0)
@@ -622,8 +595,8 @@ def _check_list(tier: TierParams, master_seed: int, workers: int) -> list:
         lambda: check_lasso_zero_collapse(tier, master_seed, workers),
         lambda: check_lasso_first_component(tier, master_seed, workers),
         lambda: check_shorth_rates(tier, master_seed, workers),
-        lambda: _shorth_r_law(tier, master_seed, shorth_records()),
-        lambda: _shorth_m_law(tier, master_seed, shorth_records()),
+        lambda: _shorth_law("r", tier, master_seed, shorth_records()),
+        lambda: _shorth_law("m", tier, master_seed, shorth_records()),
         lambda: check_kmeans_rates(tier, master_seed, workers),
         lambda: check_kmeans_split(tier, master_seed, workers),
         lambda: check_kmeans_limits(tier, master_seed, workers),

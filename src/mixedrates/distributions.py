@@ -110,17 +110,8 @@ def _sqrt_factor(cov: CovMatrix) -> np.ndarray:
     return (q * np.sqrt(w)) @ q.T
 
 
-def sample_gaussian_vector(
-    cov: CovMatrix, stream: SeedStream, draws: int | None = None
-) -> np.ndarray:
-    """Draw from N(0, cov) through the symmetric square root of ``cov``.
-
-    Returns a vector of length d, or a (draws, d) matrix when ``draws`` is
-    given.
-    """
+def sample_gaussian_vector(cov: CovMatrix, stream: SeedStream, draws: int) -> np.ndarray:
+    """A (draws, d) matrix of draws from N(0, cov), through the symmetric
+    square root of ``cov``."""
     root = _sqrt_factor(cov)
-    gen = stream.generator()
-    if draws is None:
-        return root @ gen.standard_normal(cov.dimension)
-    z = gen.standard_normal((draws, cov.dimension))
-    return z @ root.T
+    return stream.generator().standard_normal((draws, cov.dimension)) @ root.T

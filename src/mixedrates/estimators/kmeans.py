@@ -53,14 +53,6 @@ class KmeansCoords:
     empty_repair: bool = False
     left_neighborhood: bool = False
 
-    @property
-    def a_block(self) -> np.ndarray:
-        return np.array([self.delta_s, self.eps_d])
-
-    @property
-    def b_block(self) -> np.ndarray:
-        return np.array([self.delta_d, self.eps_s])
-
 
 def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels in {0, 1}; squared-distance ties go to center 1
@@ -75,17 +67,15 @@ def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def update_centers(
-    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, total: np.ndarray | None = None
+    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, total: np.ndarray
 ):
     """Cluster means; an emptied cluster is re-seeded at the point farthest
     from the other center.  Returns (new_centers, repaired_flag).
 
     Cluster 1's sum is ``labels @ points`` and cluster 0's is the sample
-    total minus it, so no masked copy of the points is made.  ``total`` is
-    the sample total ``np.ones(n) @ points``, computed here when not given.
+    total ``total`` (``np.ones(n) @ points``) minus it, so no masked copy of
+    the points is made.
     """
-    if total is None:
-        total = np.ones(len(points)) @ points
     count1 = np.count_nonzero(labels)
     sum1 = labels @ points
     counts = (len(points) - count1, count1)

@@ -90,14 +90,12 @@ def _std_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def shorth_population(density: str = "normal") -> ShorthPopulation:
-    """Population solution for the built-in standard normal density.
+def shorth_population() -> ShorthPopulation:
+    """Population solution for the standard normal density.
 
     mu = 0 by symmetry; rho solves Phi(rho) - Phi(-rho) = 1/2 by bisection to
     1e-12; c1 = 2 phi(rho) and c2 = phi'(rho) = -rho phi(rho).
     """
-    if density != "normal":
-        raise ValueError(f"unsupported density {density!r}; only 'normal' is built in")
     lo, hi = 0.0, 2.0
     # Phi(rho) = 0.75 once symmetry folds the two tails together.
     for _ in range(200):

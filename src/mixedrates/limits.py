@@ -31,8 +31,6 @@ __all__ = [
     "empirical_criterion_diff",
     "estimate_kmeans_cov",
     "sample_kmeans_limit",
-    "psi_slow",
-    "slow_block_objective",
     "slow_block_closed_form",
 ]
 
@@ -313,18 +311,6 @@ def estimate_kmeans_cov(samples: int, stream: SeedStream) -> CovMatrix:
         done += m
         part += 1
     return CovMatrix(acc / samples)
-
-
-def psi_slow(delta_s, eps_d):
-    """Cubic positive part of the slow block: the two split-line crossing
-    offsets are delta_s +/- eps_d and each contributes |offset|^3 / 6."""
-    u = np.abs(delta_s) + np.abs(eps_d)
-    v = np.abs(np.abs(delta_s) - np.abs(eps_d))
-    return (u**3 + v**3) / 6.0
-
-
-def slow_block_objective(delta_s, eps_d, z1):
-    return psi_slow(delta_s, eps_d) + delta_s * z1[0] + eps_d * z1[1]
 
 
 def slow_block_closed_form(z1: np.ndarray) -> np.ndarray:

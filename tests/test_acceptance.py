@@ -4,11 +4,11 @@ One test per criterion; each prints a PASS/FAIL line (run with ``-s`` to see
 them live).  The whole module takes several minutes: it runs the Monte Carlo
 ladders at full scale.  Outcomes are deterministic given the seed below.
 
-The half-length law is second order: sqrt(n)(r_n - rho) is compared with
--(Z + n^(-1/6) S)/c1, Z ~ N(0, 1/4) and S the maximum of the drifted
-Brownian motion whose argmax is the center's limit.  Its failure message
-also reports KS against the first-order Gaussian -Z/c1 and against the
-Var Z = 1/2 Gaussian, both of which the simulated law rejects.
+Power tests swap a wrong law into the registry and require the quick-tier
+check to fail.  The half-length law is second order: sqrt(n)(r_n - rho) is
+compared with -(Z + n^(-1/6) S)/c1, Z ~ N(0, 1/4) and S the maximum of the
+drifted Brownian motion whose argmax is the center's limit; the check must
+reject both the first-order Gaussian -Z/c1 and the Var Z = 1/2 Gaussian.
 """
 
 import math
@@ -21,8 +21,8 @@ from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
 from mixedrates.distributions import CovMatrix, SeedStream
-from mixedrates.estimators import DesignError
-from mixedrates.harness import EXPERIMENTS
+from mixedrates.estimators import DesignError, shorth_population
+from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit
 from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
@@ -145,13 +145,13 @@ def test_lasso_law_leaves_out_a_tolerated_failed_replicate(monkeypatch):
     assert res.passed, res.detail
 
 
-# (experiment, component, check, its measured KS, its tolerance)
+# (experiment, component, check, its measured KS, its quick-tier tolerance)
 LAW_CHECKS = [
-    ("lasso", "alpha1", acc.check_lasso_first_component, "ks", "lasso_ks_tol"),
-    ("shorth", "m", acc.check_shorth_m_law, "ks", "shorth_m_ks_tol"),
-    ("shorth", "r", acc.check_shorth_r_law, "ks", "shorth_r_ks_tol"),
-    ("kmeans", "delta_s", acc.check_kmeans_limits, "ks_delta_s", "kmeans_ks_tol"),
-    ("kmeans", "delta_d", acc.check_kmeans_limits, "ks_delta_d", "kmeans_ks_tol"),
+    ("lasso", "alpha1", acc.check_lasso_first_component, "ks", acc.QUICK.lasso_ks_tol),
+    ("shorth", "m", acc.check_shorth_m_law, "ks", acc.QUICK.shorth_m_ks_tol),
+    ("shorth", "r", acc.check_shorth_r_law, "ks", acc.SHORTH_R_KS_TOL),
+    ("kmeans", "delta_s", acc.check_kmeans_limits, "ks_delta_s", acc.QUICK.kmeans_ks_tol),
+    ("kmeans", "delta_d", acc.check_kmeans_limits, "ks_delta_d", acc.QUICK.kmeans_ks_tol),
 ]
 
 
@@ -170,8 +170,63 @@ def test_law_check_rejects_a_rescale_off_by_one_twelfth(
 
     monkeypatch.setitem(EXPERIMENTS[experiment].laws, component, off)
     res = report(check(acc.QUICK, SEED, WORKERS))
-    assert res.measured[key] > getattr(acc.QUICK, tol), res.detail
+    assert res.measured[key] > tol, res.detail
     assert not res.passed, res.detail
+
+
+@pytest.fixture(scope="module")
+def quick_shorth_records():
+    return acc._shorth_ks_records(acc.QUICK, SEED, WORKERS)
+
+
+@pytest.mark.parametrize(
+    "stream, sd_c1, ks",
+    [(777, 0.5, 0.1685), (779, math.sqrt(0.5), 0.2070)],
+    ids=["first_order", "var_z_half"],
+)
+def test_shorth_r_law_rejects_a_wrong_gaussian(
+    monkeypatch, quick_shorth_records, stream, sd_c1, ks
+):
+    # -Z/c1 = N(0, 0.5/c1) drops the n^(-1/6) S term; N(0, sqrt(0.5)/c1) is
+    # the Var Z = 1/2 law once stated for this check.  On these streams the
+    # quick tier reads the KS values below at seed 1729.
+    def wrong(params, master_seed, n, draws):
+        c1 = shorth_population().c1
+        return SeedStream(master_seed, stream).generator().normal(0.0, sd_c1 / c1, draws)
+
+    monkeypatch.setitem(EXPERIMENTS["shorth"].laws, "r", wrong)
+    monkeypatch.setattr(acc, "run_cells", lambda *args: quick_shorth_records)
+    res = report(acc.check_shorth_r_law(acc.QUICK, SEED, WORKERS))
+    assert res.measured["ks"] == pytest.approx(ks, abs=1e-12), res.detail
+    assert not res.passed, res.detail
+
+
+def test_law_check_reports_each_component_and_fails_on_either():
+    # delta_s errors drawn from the limit itself, delta_d errors at twice
+    # the limit's scale: only delta_d is far from its law
+    n, R = 1000, 400
+    law = EXPERIMENTS["kmeans"].laws
+    errors = {
+        "delta_s": law["delta_s"]({}, 7, n, R) / n**0.25,
+        "delta_d": 2.0 * law["delta_d"]({}, 7, n, R) / n**0.5,
+    }
+    recs = [
+        LadderRecord("kmeans", n, r, c, float(errors[c][r])) for r in range(R) for c in errors
+    ]
+    comparisons = {c: compare_with_limit("kmeans", recs, c, n, SEED, R) for c in errors}
+    ks_s, ks_d = comparisons["delta_s"].ks, comparisons["delta_d"].ks
+    assert ks_s < ks_d
+    res = acc._law_check("k", "kmeans", list(errors), n, R, (ks_s + ks_d) / 2, recs, SEED)
+    for c, comparison in comparisons.items():
+        emp, ref = comparison.rescaled, comparison.draws
+        assert res.measured[f"ks_{c}"] == comparison.ks
+        assert res.measured[f"emp_mean_{c}"] == float(emp.mean())
+        assert res.measured[f"emp_sd_{c}"] == float(emp.std())
+        assert res.measured[f"ref_mean_{c}"] == float(ref.mean())
+        assert res.measured[f"ref_sd_{c}"] == float(ref.std())
+    assert len(res.measured) == 10
+    assert not res.passed, res.detail
+    assert acc._law_check("k", "kmeans", list(errors), n, R, ks_d, recs, SEED).passed
 
 
 def test_score_product_variances_match_closed_form():
@@ -198,12 +253,11 @@ def test_shorth_r_ks_tolerance_above_null_99th_percentile():
     # 1.63 sqrt(2/R); every tier must size R so that it sits under the tolerance
     for tier in acc.TIERS.values():
         q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / tier.shorth_ks_replicates)
-        assert q99 < tier.shorth_r_ks_tol, tier.name
+        assert q99 < acc.SHORTH_R_KS_TOL, tier.name
 
 
 def test_chernoff_scaling_ks_tolerance_above_null_99th_percentile():
-    # oracle-chernoff-scaling compares two samples of oracle_chernoff_draws
+    # oracle-chernoff-scaling compares two samples of ORACLE_CHERNOFF_DRAWS
     # each at KS tolerance 0.03: the null's 99th percentile must sit under it
-    for tier in acc.TIERS.values():
-        q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / tier.oracle_chernoff_draws)
-        assert q99 < 0.03, tier.name
+    q99 = kstwobign.ppf(0.99) * math.sqrt(2.0 / acc.ORACLE_CHERNOFF_DRAWS)
+    assert q99 < 0.03

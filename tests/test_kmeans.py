@@ -120,8 +120,9 @@ class TestLloydMechanics:
         centers = INIT_CENTERS["cv"].copy()
         labels = assign_clusters(pts, centers)
         last = within_ss(pts, centers)
+        total = np.ones(len(pts)) @ pts
         for _ in range(50):
-            centers, _ = update_centers(pts, labels, centers)
+            centers, _ = update_centers(pts, labels, centers, total)
             new_labels = assign_clusters(pts, centers)
             val = within_ss(pts, centers)
             assert val <= last + 1e-12
@@ -191,7 +192,7 @@ class TestKernels:
         pts = kmeans_two_line_sample(3000, SeedStream(27, 1))
         centers = np.array([[-0.9, 0.1], [1.1, -0.05]])
         labels = assign_clusters(pts, centers)
-        new, repaired = update_centers(pts, labels, centers)
+        new, repaired = update_centers(pts, labels, centers, np.ones(len(pts)) @ pts)
         assert not repaired
         for j in (0, 1):
             assert np.allclose(new[j], pts[labels == j].mean(axis=0), rtol=0, atol=1e-14)
@@ -309,8 +310,8 @@ class TestConsistency:
         for r in range(runs):
             pts = kmeans_two_line_sample(10_000, SeedStream(23, r))
             fit = fit_kmeans2(pts, "cv")
-            ok_a += np.linalg.norm(fit.a_block) < 0.25
-            ok_b += np.linalg.norm(fit.b_block) < 0.1
+            ok_a += np.hypot(fit.delta_s, fit.eps_d) < 0.25
+            ok_b += np.hypot(fit.delta_d, fit.eps_s) < 0.1
         assert ok_a >= 95
         assert ok_b >= 95
 

@@ -32,9 +32,20 @@ from mixedrates.limits import (
     sample_lasso_limits,
     sample_shorth_r_limit,
     slow_block_closed_form,
-    slow_block_objective,
 )
 from test_distributions import two_sided_values
+
+
+def psi_slow(delta_s, eps_d):
+    """Cubic positive part of the slow block: the two split-line crossing
+    offsets are delta_s +/- eps_d and each contributes |offset|^3 / 6."""
+    u = np.abs(delta_s) + np.abs(eps_d)
+    v = np.abs(np.abs(delta_s) - np.abs(eps_d))
+    return (u**3 + v**3) / 6.0
+
+
+def slow_block_objective(delta_s, eps_d, z1):
+    return psi_slow(delta_s, eps_d) + delta_s * z1[0] + eps_d * z1[1]
 
 
 def _grid_min_slow(z1, lo, hi, points=201):

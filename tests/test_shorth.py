@@ -118,7 +118,3 @@ class TestShorthPopulation:
         assert pop.c1 == pytest.approx(2 * phi, abs=1e-11)  # ~ 0.635553
         assert pop.c2 == pytest.approx(-rho * phi, abs=1e-11)  # ~ -0.214337
         assert pop.c1 > 0 > pop.c2
-
-    def test_only_normal_supported(self):
-        with pytest.raises(ValueError):
-            shorth_population("cauchy")
