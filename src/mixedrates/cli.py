@@ -26,7 +26,6 @@ from .acceptance import DEFAULT_SEED, TIERS, run_all
 from .distributions import SeedStream, sample_two_line
 from .harness import (
     EXPERIMENTS,
-    HarnessError,
     LadderConfig,
     compare_with_limit,
     fit_rate,
@@ -161,17 +160,13 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _cmd_rates(args) -> int:
-    try:
-        terms = []
-        for term in args.term or []:
-            g, _, e = term.partition(":")
-            if not e:
-                raise RateSpecError(f"term {term!r} must look like gamma:eta, e.g. 2:1")
-            terms.append((parse_fraction(g), parse_fraction(e)))
-        spec = RateSpec(parse_fraction(args.alpha), parse_fraction(args.beta), terms)
-    except RateSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    terms = []
+    for term in args.term or []:
+        g, _, e = term.partition(":")
+        if not e:
+            raise RateSpecError(f"term {term!r} must look like gamma:eta, e.g. 2:1")
+        terms.append((parse_fraction(g), parse_fraction(e)))
+    spec = RateSpec(parse_fraction(args.alpha), parse_fraction(args.beta), terms)
     result = derive_rates(spec)
     out = {"alpha": str(spec.alpha), "beta": str(spec.beta)}
     out.update(result.as_dict())
@@ -203,9 +198,6 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
     plotdata: dict = {}
     extras, collapsed = exp.summaries(records, cfg.n_values)
     summary.update(_jsonable(extras))
-    # tolerated failed replicates carry error NaN; fit_rate and
-    # compare_with_limit skip them themselves
-    fitted = [rec for rec in records if not rec.diag_flags.startswith("failed")]
 
     for comp, exponent in exp.rates.items():
         if comp in collapsed:
@@ -218,15 +210,11 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
             "slope": _sig6(est.slope),
             "slope_se": _sig6(est.slope_se),
             "intercept": _sig6(est.intercept),
-            "n_range": list(est.n_range),
+            "n_range": [est.points[0][0], est.points[-1][0]],
             "target": str(-exponent),
         }
-        rows = [("log_n", "log_median_abs_error")]
-        for n in cfg.n_values:
-            errs = [abs(r.error) for r in fitted if r.n == n and r.component == comp]
-            med = float(np.median(errs))
-            if med > 0:
-                rows.append((f"{math.log(n)!r}", f"{math.log(med)!r}"))
+        rows = [("log_n", f"log_{summary_kind.replace('-', '_')}_error")]
+        rows += [(repr(math.log(n)), repr(math.log(v))) for n, v in est.points]
         plotdata[f"{comp}_loglog"] = rows
 
         # distributional comparison at the top rung, one limit draw per
@@ -529,7 +517,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ValueError, HarnessError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

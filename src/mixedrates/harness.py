@@ -11,7 +11,8 @@ KS distance against a limit law: ``simulate`` and ``verify`` both take it.
 
 Every replicate draws from a stream derived solely from
 (master_seed, experiment, n, replicate), so concurrent and sequential runs
-produce byte-identical record sets once canonically sorted.
+produce byte-identical record sets once canonically sorted.  A replicate
+that raises ends the run: every record a run returns has a finite error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -28,7 +28,6 @@ import numpy as np
 
 from .distributions import SeedStream, derive_stream_index
 from .estimators import (
-    DesignError,
     LassoConfig,
     fit_bridge_lasso,
     fit_kmeans2_global,
@@ -37,7 +36,6 @@ from .estimators import (
     shorth_population,
 )
 from .limits import (
-    BoundaryHitError,
     ChernoffConfig,
     kmeans_two_line_sample,
     sample_chernoff_argmax,
@@ -53,7 +51,6 @@ __all__ = [
     "LadderConfig",
     "LadderRecord",
     "RateEstimate",
-    "HarnessError",
     "run_ladder",
     "run_cells",
     "compare_with_limit",
@@ -62,10 +59,6 @@ __all__ = [
     "zero_fraction",
     "records_to_csv_lines",
 ]
-
-
-class HarnessError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,13 +78,14 @@ class LadderRecord:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Log-log slope of an error summary against the sample size."""
+    """Log-log slope of an error summary against the sample size, with the
+    (n, summary) points it was fitted to."""
 
     component: str
     slope: float
     slope_se: float
     intercept: float
-    n_range: tuple[int, int]
+    points: tuple[tuple[int, float], ...]
 
 
 def _replicate_stream(master_seed: int, experiment: str, n: int, r: int, role: str) -> SeedStream:
@@ -180,15 +174,6 @@ def _run_kmeans_replicate(params, master_seed: int, n: int, r: int) -> list[Ladd
     ]
 
 
-def _fitted(records, n: int, component: str) -> list[LadderRecord]:
-    """The records of ``component`` at ``n``, less tolerated failed replicates."""
-    return [
-        rec
-        for rec in records
-        if rec.n == n and rec.component == component and not rec.diag_flags.startswith("failed")
-    ]
-
-
 def _check_lasso_params(params: Mapping[str, object]) -> None:
     if params["design_mode"] not in ("fresh", "fixed"):
         raise ValueError(
@@ -241,7 +226,7 @@ def _lasso_summaries(records, n_values) -> tuple[dict, set]:
 def _kmeans_summaries(records, n_values) -> tuple[dict, set]:
     """Share of top-rung fits that pick the cv configuration."""
     top_n = n_values[-1]
-    choices = [rec.choice for rec in _fitted(records, top_n, "delta_s")]
+    choices = [rec.choice for rec in records if rec.n == top_n and rec.component == "delta_s"]
     frac = sum(c == "cv" for c in choices) / len(choices)
     se = math.sqrt(frac * (1.0 - frac) / len(choices))
     return {"split_fraction_cv": {"n": top_n, "fraction": frac, "se": se}}, set()
@@ -278,7 +263,13 @@ class Experiment:
         return tuple(self.rates)
 
     def resolve(self, params: Mapping[str, object] | None) -> dict:
-        """The defaults overridden by ``params``, checked."""
+        """The defaults overridden by ``params``, checked; a key without a
+        default is rejected."""
+        unknown = sorted(set(params or {}) - set(self.defaults))
+        if unknown:
+            raise ValueError(
+                f"unknown parameters {unknown}; the experiment takes {sorted(self.defaults)}"
+            )
         merged = {**self.defaults, **(params or {})}
         self.check_params(merged)
         return merged
@@ -357,29 +348,10 @@ class LadderConfig:
         object.__setattr__(self, "params", EXPERIMENTS[self.experiment].resolve(self.params))
 
 
-# The declared numerical failures of a replicate.  Any other exception is a
-# programming error and propagates out of run_cells.
-_NUMERICAL_FAILURES = (DesignError, BoundaryHitError)
-
-
 def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
-    exp = EXPERIMENTS[experiment]
-    try:
-        return exp.run_replicate(params, master_seed, n, r)
-    except _NUMERICAL_FAILURES as exc:  # recorded, not fatal; the run-level gate decides
-        # one CSV field: no comma, no line break
-        message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
-        return [
-            LadderRecord(
-                experiment=experiment,
-                n=n,
-                replicate=r,
-                component=c,
-                error=float("nan"),
-                diag_flags=f"failed:{message}",
-            )
-            for c in exp.components
-        ]
+    # the runner is looked up by name in the worker, so a forked pool runs a
+    # patched registry entry even when its runner cannot be pickled
+    return EXPERIMENTS[experiment].run_replicate(params, master_seed, n, r)
 
 
 def run_cells(
@@ -394,10 +366,8 @@ def run_cells(
 
     ``params`` overrides the experiment's defaults.  Every replicate is
     seeded from (master_seed, experiment, n, replicate), so the output is
-    independent of worker scheduling.  A declared numerical failure
-    (``_NUMERICAL_FAILURES``) becomes a flagged record and aborts the run
-    only above a 1% rate, with each distinct failure message; any other
-    exception aborts it at once.
+    independent of worker scheduling.  An exception raised by any replicate
+    propagates unchanged and ends the run.
     """
     exp = EXPERIMENTS[experiment]
     merged = exp.resolve(params)
@@ -421,23 +391,6 @@ def run_cells(
     comp_order = {c: i for i, c in enumerate(exp.components)}
     records = [rec for chunk in results for rec in chunk]
     records.sort(key=lambda rec: (rec.n, rec.replicate, comp_order[rec.component]))
-
-    failed = [
-        rec
-        for rec in records
-        if rec.component == exp.components[0] and rec.diag_flags.startswith("failed:")
-    ]
-    if len(failed) > 0.01 * len(tasks):
-        counts = Counter(rec.diag_flags for rec in failed)
-        first = {rec.diag_flags: rec for rec in reversed(failed)}
-        raise HarnessError(
-            f"{len(failed)} of {len(tasks)} replicates failed:"
-            + "".join(
-                f"\n  {count} x {flag[len('failed:'):]} "
-                f"(first at n = {first[flag].n}, r = {first[flag].replicate})"
-                for flag, count in counts.items()
-            )
-        )
     return records
 
 
@@ -464,11 +417,10 @@ def compare_with_limit(
 ) -> LimitComparison:
     """n^tau times the errors of ``component`` at ``n`` against ``draws``
     draws of its limit law under ``master_seed``.  tau is the theoretical
-    exponent in ``Experiment.rates``, never a fitted slope.  Records of
-    tolerated failed replicates are dropped; ``params`` overrides the
-    experiment's defaults."""
+    exponent in ``Experiment.rates``, never a fitted slope.  ``params``
+    overrides the experiment's defaults."""
     exp = EXPERIMENTS[experiment]
-    errors = np.array([rec.error for rec in _fitted(records, n, component)])
+    errors = np.array([rec.error for rec in records if rec.n == n and rec.component == component])
     rescaled = float(n) ** float(exp.rates[component]) * errors
     law = exp.laws[component](exp.resolve(params), master_seed, n, draws)
     return LimitComparison(rescaled, law, ks_two_sample(rescaled, law))
@@ -492,7 +444,7 @@ def fit_rate(
     by_n: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
     for rec in records:
-        if rec.component != component or rec.diag_flags.startswith("failed"):
+        if rec.component != component:
             continue
         counts[rec.n] = counts.get(rec.n, 0) + 1
         if exclude_zero_flagged and rec.zero_flag:
@@ -533,7 +485,7 @@ def fit_rate(
         slope=slope,
         slope_se=se,
         intercept=intercept,
-        n_range=(int(ns[0]), int(ns[-1])),
+        points=tuple(zip(ns.tolist(), sums)),
     )
 
 
@@ -551,11 +503,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 def zero_fraction(records: Iterable[LadderRecord], component: str) -> tuple[float, float]:
     """Fraction of exact-zero flags with its binomial standard error."""
-    flags = [
-        rec.zero_flag
-        for rec in records
-        if rec.component == component and not rec.diag_flags.startswith("failed")
-    ]
+    flags = [rec.zero_flag for rec in records if rec.component == component]
     if len(flags) < 50:
         raise ValueError("need at least 50 records")
     p = sum(flags) / len(flags)

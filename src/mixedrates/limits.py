@@ -21,7 +21,6 @@ from .estimators.kmeans import centers_from_coords, within_ss
 __all__ = [
     "ChernoffConfig",
     "BoundaryHitError",
-    "LinearizationGateError",
     "KMEANS_SIGMA",
     "sample_chernoff_argmax",
     "sample_shorth_r_limit",
@@ -41,7 +40,7 @@ logger = logging.getLogger(__name__)
 # Brownian argmax (cube-root limit)
 
 
-class BoundaryHitError(RuntimeError):
+class BoundaryHitError(ValueError):
     """Too many argmaxes landed on the grid boundary; enlarge the horizon."""
 
 
@@ -201,10 +200,6 @@ def sample_lasso_limits(
 # k-means two-stage limit
 
 
-class LinearizationGateError(RuntimeError):
-    """The score-based linearization failed its finite-difference validation."""
-
-
 # Covariance of the Gaussian (Z1, Z2) of the k-means limit, ordered
 # (Z_ds, Z_ed, Z_dd, Z_es).  On the two-line law it is exactly 4 I: with
 # u = |x| - 1, |x| ~ Exp(1), the four scores of ``kmeans_scores`` are
@@ -254,11 +249,10 @@ def empirical_criterion_diff(points: np.ndarray, coords4) -> float:
     return within_ss(points, centers) - within_ss(points, base)
 
 
-def _linearization_gate(stream: SeedStream, n: int = 200_000,
-                        rel_tol: float = 1e-2) -> float:
-    """Central finite differences of the empirical criterion at the cv pair
-    must reproduce the score-based directional derivative to ``rel_tol``
-    relative error.  Returns the worst relative error; raises on failure.
+def _linearization_gate(stream: SeedStream, n: int = 200_000) -> float:
+    """Worst relative error, over 8 directions, between central finite
+    differences of the empirical criterion at the cv pair and the
+    score-based directional derivative.
 
     The empirical criterion has kinks where a sample point crosses the split
     boundary, so the step is chosen per direction small enough that no point
@@ -282,13 +276,7 @@ def _linearization_gate(stream: SeedStream, n: int = 200_000,
             empirical_criterion_diff(pts, t * d) - empirical_criterion_diff(pts, -t * d)
         ) / (2.0 * t)
         lin = float(d @ grad)
-        rel = abs(fd - lin) / (abs(lin) + 1e-9)
-        worst = max(worst, rel)
-        if rel > rel_tol:
-            raise LinearizationGateError(
-                f"finite-difference check failed along {np.round(d, 3)}: "
-                f"fd = {fd:.6e}, linearization = {lin:.6e}, rel err = {rel:.3e}"
-            )
+        worst = max(worst, abs(fd - lin) / (abs(lin) + 1e-9))
     return worst
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -120,7 +122,7 @@ class TestSimulateCommand:
                 [
                     "simulate", "--experiment", "lasso", "--n-values", "60,120,240,480",
                     "--replicates", "50", "--seed", "3", "--out-dir", str(out),
-                    "--summary", "rmse", "--design-mode", "fixed",
+                    "--summary", "rmse", "--design-mode", "fixed", "--lambda0", "0.2",
                 ]
             )
             == 0
@@ -130,6 +132,25 @@ class TestSimulateCommand:
         assert summary["params"]["design_mode"] == "fixed"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["summary"] == "rmse"
+        # the plotted points are the ones each slope was fitted to; at this
+        # penalty alpha2 is fitted, with most of its errors exact zeros
+        assert summary["zero_fraction_alpha2"]["480"][0] > 0.5
+        for comp, entry in summary["rates"].items():
+            lines = (out / "plotdata" / f"{comp}_loglog.csv").read_text().splitlines()
+            assert lines[0] == "log_n,log_rmse_error"
+            x, y = np.array([line.split(",") for line in lines[1:]], dtype=float).T
+            assert float(f"{np.polyfit(x, y, 1)[0]:.6g}") == entry["slope"]
+
+    @pytest.mark.parametrize("experiment", ["shorth", "kmeans"])
+    def test_parameter_the_experiment_does_not_take_exits_3(self, tmp_path, capsys, experiment):
+        argv = [
+            "simulate", "--experiment", experiment, "--n-values", "100,200,400,800",
+            "--replicates", "50", "--gamma", "0.3", "--sigma", "1",
+            "--out-dir", str(tmp_path / "o"),
+        ]
+        assert run_cli(argv) == 3
+        assert "unknown parameters ['gamma', 'sigma']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("d", ["1", "4"])
     def test_lasso_dimension_outside_two_three_exits_3(self, tmp_path, capsys, d):
@@ -260,8 +281,8 @@ def test_small_run_outputs_are_byte_identical(small_runs, experiment):
     assert digests == SMALL_RUN_DIGESTS[experiment]
 
 
-def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path):
-    # one tolerated failure at the top rung: its records carry error NaN
+def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path, capsys):
+    # a replicate that raises ends the run: exit 3, and no outputs
     shorth = EXPERIMENTS["shorth"]
 
     def run(params, master_seed, n, r):
@@ -273,18 +294,11 @@ def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path):
     out = tmp_path / "shorth"
     argv = [
         "simulate", "--experiment", "shorth", "--n-values", "100,200,400,800",
-        "--replicates", "100", "--seed", "5", "--out-dir", str(out),
+        "--replicates", "50", "--seed", "5", "--out-dir", str(out),
     ]
-    assert run_cli(argv) == 0
-    assert "failed:DesignError" in (out / "records.csv").read_text()
-    summary = json.loads((out / "summary.json").read_text())
-    for comp in shorth.rates:
-        loglog = (out / "plotdata" / f"{comp}_loglog.csv").read_text().splitlines()
-        assert len(loglog) == 1 + 4
-        rescaled = (out / "plotdata" / f"{comp}_rescaled_vs_limit.csv").read_text()
-        assert "nan" not in rescaled
-        assert rescaled.count("empirical,") == 99
-        assert summary["ks_vs_limit"][comp]["empirical"] == 99
+    assert run_cli(argv) == 3
+    assert "error: hit the box" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
 
 
 def _run_toy_replicate(params, master_seed, n, r):
@@ -350,6 +364,11 @@ class TestLimitCommand:
         assert lines[0] == "index,x,y"
         assert all(line.split(",")[1] in ("-1.0", "1.0") for line in lines[1:])
 
+    def test_boundary_hit_exits_3(self, capsys):
+        argv = ["limit", "--law", "chernoff", "--horizon", "0.5", "--draws", "200"]
+        assert run_cli(argv) == 3
+        assert "enlarge T" in capsys.readouterr().err
+
     def test_law_and_dump_are_exclusive(self, capsys):
         assert run_cli(["limit", "--law", "chernoff", "--dump-sample", "two-line"]) == 2
         assert run_cli(["limit"]) == 2
@@ -409,6 +428,20 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--quick", "--full"])
         assert exc.value.code == 2
+
+
+def test_every_package_exception_is_a_value_error():
+    # main turns a ValueError into exit 3; anything else would be a traceback
+    classes = [
+        obj
+        for info in pkgutil.walk_packages(mixedrates.__path__, "mixedrates.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == info.name
+    ]
+    assert len(classes) >= 5
+    assert [c for c in classes if not issubclass(c, ValueError)] == []
 
 
 def test_help_documents_exit_codes(capsys):

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from mixedrates.estimators import DesignError
 from mixedrates.harness import (
     EXPERIMENTS,
-    HarnessError,
     LadderConfig,
     LadderRecord,
     compare_with_limit,
@@ -124,8 +123,7 @@ class TestRunLadder:
 
 
 class TestReplicateFailures:
-    """run_cells tolerates the declared numerical failures under a 1% gate
-    and lets every other exception through."""
+    """An exception raised by any replicate ends the run."""
 
     @staticmethod
     def _fail(monkeypatch, exc, failing):
@@ -146,27 +144,11 @@ class TestReplicateFailures:
         with pytest.raises(TypeError, match="unsupported operand"):
             run_cells("shorth", [100, 200], 100, 5, workers=1)
 
-    def test_numerical_failure_is_flagged_and_tolerated(self, monkeypatch):
-        exc = DesignError("hit the box, twice\nat n = 100")
-        self._fail(monkeypatch, exc, {7})
-        recs = run_cells("shorth", [100, 200], 100, 5, workers=1)
-        failed = [rec for rec in recs if rec.diag_flags.startswith("failed:")]
-        assert [(rec.n, rec.replicate) for rec in failed] == [(100, 7), (100, 7), (200, 7), (200, 7)]
-        assert failed[0].diag_flags == "failed:DesignError: hit the box; twice at n = 100"
-        assert all(math.isnan(rec.error) for rec in failed)
-        lines = records_to_csv_lines(recs)
-        assert len(lines) == 1 + len(recs)
-        assert all(line.count(",") == 8 for line in lines)
-
-    def test_numerical_failures_above_gate_raise(self, monkeypatch):
-        exc = DesignError("hit the box")
-        self._fail(monkeypatch, exc, {7, 8})
-        with pytest.raises(HarnessError, match="4 of 200 replicates failed") as err:
-            run_cells("shorth", [100, 200], 100, 5, workers=1)
-        # each distinct failure message, with its count and where it first occurred
-        assert str(err.value).splitlines()[1:] == [
-            "  4 x DesignError: hit the box (first at n = 100, r = 7)"
-        ]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numerical_failure_ends_the_run(self, monkeypatch, workers):
+        self._fail(monkeypatch, DesignError("hit the box"), {7})
+        with pytest.raises(DesignError, match="hit the box"):
+            run_cells("shorth", [100, 200], 50, 5, workers=workers)
 
 
 class TestCompareWithLimit:
@@ -180,7 +162,6 @@ class TestCompareWithLimit:
         monkeypatch.setitem(EXPERIMENTS["lasso"].laws, "alpha1", law)
         recs = [LadderRecord("lasso", 400, r, "alpha1", 0.01 * r) for r in range(5)]
         recs += [
-            LadderRecord("lasso", 400, 5, "alpha1", math.nan, diag_flags="failed:DesignError: x"),
             LadderRecord("lasso", 100, 0, "alpha1", 1.0),  # another rung
             LadderRecord("lasso", 400, 0, "alpha2", 1.0),  # another component
         ]
@@ -194,16 +175,6 @@ class TestCompareWithLimit:
     def test_every_component_with_a_law_has_a_rate(self):
         for exp in EXPERIMENTS.values():
             assert set(exp.laws) <= set(exp.rates)
-
-
-def test_kmeans_split_fraction_leaves_out_failed_replicates():
-    recs = [
-        LadderRecord("kmeans", 800, r, "delta_s", 0.0, choice="cv" if r < 30 else "ch")
-        for r in range(60)
-    ]
-    recs.append(LadderRecord("kmeans", 800, 60, "delta_s", math.nan, diag_flags="failed:x"))
-    extras, _ = EXPERIMENTS["kmeans"].summaries(recs, [800])
-    assert extras["split_fraction_cv"]["fraction"] == 0.5
 
 
 class TestFitRate:
