@@ -104,11 +104,11 @@ class RunManifest:
             "version": self.version,
             "environment": self.environment,
             "command": self.command,
-            "config": _jsonable(self.config),
+            "config": _jsonable(self.config, float),
             "master_seed": self.master_seed,
             "started": self.started,
             "finished": self.finished,
-            "checks": _jsonable(self.checks),
+            "checks": _jsonable(self.checks, float),
             "outputs": list(self.outputs),
         }
 
@@ -394,15 +394,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _jsonable(obj):
+def _jsonable(obj, real=_sig6):
+    """``obj`` with numpy scalars and fractions made JSON-ready and every float
+    passed through ``real``: rounded to 6 significant figures by default (the
+    summary), kept whole with ``float`` (the manifest, whose values round-trip
+    by ``repr``)."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, real) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, real) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return _sig6(float(obj))
+        return real(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, Fraction):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,11 +91,14 @@ def _std_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+@functools.cache
 def shorth_population() -> ShorthPopulation:
     """Population solution for the standard normal density.
 
     mu = 0 by symmetry; rho solves Phi(rho) - Phi(-rho) = 1/2 by bisection to
-    1e-12; c1 = 2 phi(rho) and c2 = phi'(rho) = -rho phi(rho).
+    1e-12; c1 = 2 phi(rho) and c2 = phi'(rho) = -rho phi(rho).  The result is
+    a constant, so the bisection runs once per process and every call returns
+    the same frozen record.
     """
     lo, hi = 0.0, 2.0
     # Phi(rho) = 0.75 once symmetry folds the two tails together.

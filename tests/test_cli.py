@@ -241,9 +241,9 @@ def test_git_revision_is_none_without_git_or_checkout(monkeypatch):
 # order included, fails here.
 SMALL_RUN_DIGESTS = {
     "lasso": {
-        "plotdata/alpha1_loglog.csv": "ad9631adde7eff179b12dbc090fca7db4e038e99953027a679ddf5a97f5e5dc1",
-        "plotdata/alpha1_rescaled_vs_limit.csv": "8663fd4f3eda5f53e584ff957acd99d3257acfc0d10295e5f45c0601563d016b",
-        "records.csv": "d264ad5f0af205c27e637d3561c40fde63a5458002b61cbd646ebf0b19bc3070",
+        "plotdata/alpha1_loglog.csv": "a85869be57b8858ef029aaba72114b18b4dab2551a5b6aae87d972d1417147a4",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "c02f5e558a558f8156fa6abadbf31eadaafba889fc03e77b0f3fad69d7fe8132",
+        "records.csv": "c5912380af9c6cf27a2328b2ab41b31d5c07878fe977c9924873a10ab7318e22",
         "summary.json": "f76bd1b5103cc2202a4d9e57eb677673a525065f1bd836eff63acdca4394773e",
     },
     "shorth": {
@@ -413,6 +413,28 @@ class TestVerifyCommand:
         )
         assert run_cli(["verify", "--full"]) == 4
         assert "1/2 checks passed" in capsys.readouterr().out
+
+    def test_manifest_keeps_measured_values_whole(self, monkeypatch, tmp_path, capsys):
+        # the manifest writes every float so that it round-trips by repr;
+        # only summary.json rounds to 6 significant figures
+        measured = {
+            "ks": 0.0123456789012345,
+            "slopes": {"m": np.float64(-1.0 / 3.0)},
+            "fractions": [(250, 0.8765432109876543)],
+            "instances": 24,
+        }
+        monkeypatch.setattr(
+            cli, "run_all",
+            lambda tier, master_seed, workers, progress: [CheckResult("a", True, measured, "t")],
+        )
+        assert run_cli(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "manifest.json").read_text())["checks"][0]["measured"]
+        assert repr(written) == repr({
+            "ks": 0.0123456789012345,
+            "slopes": {"m": -0.3333333333333333},
+            "fractions": [[250, 0.8765432109876543]],
+            "instances": 24,
+        })
 
     def test_manifest_records_check_wall_times(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(

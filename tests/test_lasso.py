@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixedrates import harness
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import (
     LassoConfig,
@@ -15,6 +16,8 @@ from mixedrates.estimators.lasso import (
     _grid_min,
     _grid_points,
     _grid_values,
+    _provably_zero,
+    _search,
     _slice_criterion,
     _slice_min,
 )
@@ -405,6 +408,85 @@ class TestMinimizerBox:
         best = residual_grid_min(y, cfg, lo, hi, points=2001 if d == 2 else 201)
         fit = fit_bridge_lasso(y, cfg)
         assert fit.criterion_value <= best + 1e-12 * abs(best)
+
+
+def screen_instance(n, d, gamma, r):
+    """An instance with truth (1, 0, ...), unit noise and lambda0 = 2, its
+    Gram statistics and which coordinates ``_provably_zero`` screens."""
+    s = SeedStream(500 + n, 10 * d + r)
+    X = generate_lasso_design(n, d, s)
+    beta = np.zeros(d)
+    beta[0] = 1.0
+    y = X @ beta + s.child("noise").generator().standard_normal(n)
+    cfg = LassoConfig(X, beta, gamma=gamma, lambda0=2.0)
+    xtx, xty = X.T @ X, X.T @ y
+    ols, lo, hi = minimizer_box(xtx, xty, cfg.lambda_n, gamma)
+    return y, cfg, (ols, lo, hi), _provably_zero(xtx, xty, ols, lo, hi, cfg.lambda_n, gamma)
+
+
+class TestZeroScreen:
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n", [6, 40])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_screened_coordinate_is_zero_at_every_minimizer(self, d, n, gamma):
+        # the lemma: off the zero plane of a screened coordinate the
+        # criterion, in residual form on a dense grid of the box, never falls
+        # below the fit's value
+        points = 201 if d == 2 else 41
+        seen = [0, 0]
+        for r in range(12):
+            y, cfg, (_, lo, hi), zero = screen_instance(n, d, gamma, r)
+            seen[bool(zero.any())] += 1
+            if not zero.any():
+                continue
+            fit = fit_bridge_lasso(y, cfg)
+            assert fit.zero_flags[zero].all()
+            mesh = np.meshgrid(*(np.linspace(a, b, points) for a, b in zip(lo, hi)), indexing="ij")
+            B = np.column_stack([m.ravel() for m in mesh])
+            resid = y[None, :] - B @ cfg.design.T
+            vals = np.sum(resid**2, axis=1) + cfg.lambda_n * np.sum(np.abs(B) ** gamma, axis=1)
+            for j in np.flatnonzero(zero):
+                off_plane = vals[B[:, j] != 0.0]
+                assert off_plane.min() >= fit.criterion_value * (1.0 - 1e-12)
+        assert seen[True] >= 4, seen
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n", [6, 40, 250])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_screen_leaves_the_fit_unchanged(self, d, n, gamma):
+        # the screened fit is the search over every coordinate, by repr
+        fired = 0
+        for r in range(12):
+            y, cfg, (ols, lo, hi), zero = screen_instance(n, d, gamma, r)
+            fired += bool(zero.any())
+            X = cfg.design
+            x, val = _search(
+                list(range(d)), ols, lo, hi, X.T @ X, X.T @ y, float(y @ y), cfg.lambda_n, gamma
+            )
+            fit = fit_bridge_lasso(y, cfg)
+            assert repr(fit.alpha_hat.tolist()) == repr(x.tolist())
+            assert repr(fit.criterion_value) == repr(val)
+        assert fired >= 4
+
+    @pytest.mark.parametrize("seed", [1729, 2024])
+    def test_ladder_null_coordinate_is_screened_on_every_fit(self, seed):
+        # README: at gamma = 1/2 the screen pins alpha2 on every fit of the
+        # lasso ladder 250...2000 x 125, so the grid there is one axis
+        screened = 0
+        for n in (250, 500, 1000, 2000):
+            for r in range(125):
+                X = generate_lasso_design(n, 2, harness._lasso_design_stream(seed, n, r, "fresh"))
+                noise = harness._replicate_stream(seed, "lasso", n, r, "noise").generator()
+                y = X @ np.array([1.0, 0.0]) + noise.standard_normal(n)
+                xtx, xty, lam = X.T @ X, X.T @ y, 2.0 * math.sqrt(n)
+                zero = _provably_zero(xtx, xty, *minimizer_box(xtx, xty, lam, 0.5), lam, 0.5)
+                screened += zero.tolist() == [False, True]
+        assert screened == 500
+
+    def test_no_screen_without_penalty(self):
+        y, cfg, (ols, lo, hi), _ = screen_instance(40, 2, 0.5, 0)
+        X = cfg.design
+        assert not _provably_zero(X.T @ X, X.T @ y, ols, lo, hi, 0.0, 0.5).any()
 
 
 class TestDimensionCap:

@@ -111,6 +111,9 @@ class TestShorthPopulation:
         # independent oracle: scipy's inverse normal CDF
         assert shorth_population().rho == pytest.approx(ndtri(0.75), abs=1e-11)
 
+    def test_computed_once(self):
+        assert shorth_population() is shorth_population()
+
     def test_coefficients_from_density_calculus(self):
         pop = shorth_population()
         rho = ndtri(0.75)
