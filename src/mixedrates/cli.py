@@ -323,6 +323,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
     stream = SeedStream(args.seed, args.stream_index)
     if args.dump_sample:
         pts = sample_two_line(args.draws, stream)

@@ -277,12 +277,8 @@ def _coordinate_polish(x, lo, hi, free, xtx, xty, yty, lam, gamma):
     ``_slice_min``.  A move is accepted only if it lowers the criterion f by
     more than 1e-12 (1 + |f|), and the descent stops after a sweep that
     accepts none.  Since f >= 0, only finitely many moves can be accepted.
-    With one free coordinate the slice never changes, so once that coordinate
-    is nonzero the next sweep would solve the same slice on the same side and
-    accept nothing: the descent stops there.  (A coordinate left at zero opens
-    both sides to the next sweep, which still runs.)  ``x`` is a list of
-    floats, updated in place; ``lo``, ``hi``, ``xtx`` and ``xty`` are Python
-    lists."""
+    ``x`` is a list of floats, updated in place; ``lo``, ``hi``, ``xtx`` and
+    ``xty`` are Python lists."""
     base, lin, q = _slice_criterion(x, free[0], xtx, xty, yty, lam, gamma)
     t = x[free[0]]
     best = base + t * (lin + q * t) + lam * abs(t) ** gamma
@@ -301,8 +297,6 @@ def _coordinate_polish(x, lo, hi, free, xtx, xty, yty, lam, gamma):
                 x[j] = t
                 best = ft
                 moved = True
-        if len(free) == 1 and x[free[0]] != 0.0:
-            break
     return np.array(x), best
 
 
@@ -311,33 +305,30 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
     every global minimizer (``minimizer_box``).
 
     First every coordinate that the box proves zero at every global minimizer
-    is pinned at exactly 0.0 (``_provably_zero``); if none is left free, the
-    fit is the origin, whose value is y'y.  The search then runs over the free
-    coordinates alone (``_search``), in two stages: a 101-per-axis grid with
-    the zero axes inserted as exact grid lines, then a coordinate polish from
-    the grid's best point and from OLS on every zero restriction, that is with
-    each subset of the free coordinates whose zero lies in the box also pinned
-    at exactly 0.0.  The fully pinned restriction is the origin.  Each polish
-    step moves one coordinate to the exact minimum of its slice within the
-    current sign orthant: the slice is concave and then convex on each side of
-    zero, so its minimum is an endpoint or the one root of its derivative on
-    the convex part, found by safeguarded Newton to machine precision
-    (``_slice_min``).  A coordinate is reported as exactly zero whenever it is
-    screened or a restriction that pins it beats every other candidate.
+    is pinned at exactly 0.0 (``_provably_zero``); the search (``_search``)
+    runs over the rest.  With none free the fit is the origin, value y'y.
+    With one free the criterion is a one-dimensional slice, and its exact
+    minimum over the box is the fit.  With two or three, a 101-per-axis grid
+    with the zero axes inserted as exact grid lines picks a start, and a
+    coordinate polish over every free coordinate runs from it and from OLS.
+    Every slice minimum, alone or as a polish step within the current sign
+    orthant, is exact (``_slice_min``): the slice is concave and then convex
+    on each side of zero, so its minimum is an endpoint, zero or the one root
+    of its derivative on the convex part, found by safeguarded Newton to
+    machine precision.  This is the coordinate-descent update of Friedman,
+    Hastie, Hoefling & Tibshirani (2007).  A coordinate is reported as exactly
+    zero whenever it is screened or its slice minimum is zero.
 
     The screen changes no fit: every global minimizer already has the screened
     coordinates at zero.  It shrinks the work.  On the ``lasso`` ladder
-    (gamma = 1/2, n = 250...2000) it pins alpha2 on every fit, so the grid has
-    102 points instead of 102^2 and one restriction is polished instead of
-    three: a fit costs about 0.20 ms, against 0.39 ms without the screen, on
-    a 2-core machine.  At d = 3 the screen pins both null coordinates on
-    nearly every ladder fit, which then searches 102 grid points instead of
-    102^3, about 15 times faster.
+    (gamma = 1/2, n = 250...2000) it pins alpha2 on every fit, which leaves
+    one free coordinate and no grid; at d = 3 it pins both null coordinates on
+    nearly every ladder fit.
 
     The criterion is evaluated through (X'X, X'y, y'y) only.  On the grid it
     is a separable sum of per-axis terms plus pairwise products, broadcast into
-    the grid array; along a polish slice it is a scalar quadratic plus the
-    penalty term, on plain floats.  The grid has up to 102^d points when no
+    the grid array; along a slice it is a scalar quadratic plus the penalty
+    term, on plain floats.  The grid has up to 102^d points when no
     coordinate is screened, so d is capped at 3.
     """
     y = np.asarray(responses, dtype=np.float64).ravel()
@@ -359,29 +350,28 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
 
 
 def _search(free, ols, lo, hi, xtx, xty, yty, lam, gamma):
-    """The grid and zero-restriction polish of ``fit_bridge_lasso`` over the
-    coordinates ``free``, every other one pinned at exactly 0.0; returns
-    ``(point, value)``, the origin with value y'y when no candidate is lower.
-    With ``free = range(d)`` it is the search with no screen."""
+    """The search of ``fit_bridge_lasso`` over the coordinates ``free``, every
+    other one pinned at exactly 0.0; returns ``(point, value)``, the origin
+    with value y'y when no candidate is lower.  With ``free = range(d)`` it is
+    the search with no screen.  One free coordinate j leaves the slice
+    y'y - 2 (X'y)_j t + Q_jj t^2 + lam |t|^gamma, minimized exactly."""
     d = ols.size
-    if not free:
-        return np.zeros(d), yty
-    sub = np.ix_(free, free)
-    best_x = np.zeros(d)
-    best_x[free], best_val = _grid_min(
-        _grid_points(lo[free], hi[free], 101), xtx[sub], xty[free], yty, lam, gamma
-    )
-    starts = (best_x.tolist(), ols.tolist())
+    best_x, best_val = np.zeros(d), yty
     lo_list, hi_list, q_list, c_list = lo.tolist(), hi.tolist(), xtx.tolist(), xty.tolist()
-    for mask in range((1 << len(free)) - 1):
-        pinned = [j for i, j in enumerate(free) if (mask >> i) & 1]
-        if any(not lo_list[j] <= 0.0 <= hi_list[j] for j in pinned):
-            continue
-        moving = [j for j in free if j not in pinned]
-        for start in starts:
-            x0 = [v if j in moving else 0.0 for j, v in enumerate(start)]
+    if len(free) == 1:
+        (j,) = free
+        best_x[j], best_val = _slice_min(
+            yty, -2.0 * c_list[j], q_list[j][j], lam, gamma, lo_list[j], hi_list[j]
+        )
+    elif free:
+        sub = np.ix_(free, free)
+        best_x[free], best_val = _grid_min(
+            _grid_points(lo[free], hi[free], 101), xtx[sub], xty[free], yty, lam, gamma
+        )
+        ols_start = [v if j in free else 0.0 for j, v in enumerate(ols.tolist())]
+        for start in (best_x.tolist(), ols_start):
             x, val = _coordinate_polish(
-                x0, lo_list, hi_list, moving, q_list, c_list, yty, lam, gamma
+                start, lo_list, hi_list, free, q_list, c_list, yty, lam, gamma
             )
             if val < best_val:
                 best_x, best_val = x, val

@@ -367,8 +367,11 @@ def run_cells(
     ``params`` overrides the experiment's defaults.  Every replicate is
     seeded from (master_seed, experiment, n, replicate), so the output is
     independent of worker scheduling.  An exception raised by any replicate
-    propagates unchanged and ends the run.
+    propagates unchanged and ends the run.  ``workers`` below 1 raises
+    ``ValueError`` before any replicate runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers (--threads) must be >= 1, got {workers}")
     exp = EXPERIMENTS[experiment]
     merged = exp.resolve(params)
     tasks = [(n, r) for n in n_values for r in range(replicates)]

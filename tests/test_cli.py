@@ -162,6 +162,25 @@ class TestSimulateCommand:
         assert "d must be 2 or 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_fewer_than_one_worker_exits_3(self, tmp_path, capsys, threads):
+        argv = [
+            "simulate", "--experiment", "shorth", "--n-values", "100,200,400,800",
+            "--replicates", "50", "--threads", threads, "--out-dir", str(tmp_path / "o"),
+        ]
+        assert run_cli(argv) == 3
+        assert f"must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_with_zero_threads_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "experiment = shorth\nn_values = 100, 200, 400, 800\nreplicates = 50\nthreads = 0\n"
+        )
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
@@ -369,6 +388,23 @@ class TestLimitCommand:
         assert run_cli(argv) == 3
         assert "enlarge T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--law", "chernoff"],
+            ["--law", "lasso-first"],
+            ["--law", "kmeans"],
+            ["--dump-sample", "two-line"],
+        ],
+        ids=lambda a: a[1],
+    )
+    def test_fewer_than_one_draw_exits_3(self, tmp_path, capsys, source, draws):
+        out = tmp_path / "draws.csv"
+        assert run_cli(["limit", *source, "--draws", draws, "--out", str(out)]) == 3
+        assert f"--draws must be >= 1, got {draws}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_law_and_dump_are_exclusive(self, capsys):
         assert run_cli(["limit", "--law", "chernoff", "--dump-sample", "two-line"]) == 2
         assert run_cli(["limit"]) == 2
@@ -445,6 +481,13 @@ class TestVerifyCommand:
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert len(checks) == 1
         assert checks[0]["wall_s"] > 0.0
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_fewer_than_one_worker_exits_3(self, tmp_path, capsys, threads):
+        argv = ["verify", "--quick", "--threads", threads, "--out-dir", str(tmp_path / "v")]
+        assert run_cli(argv) == 3
+        assert f"must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_tiers_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:

@@ -115,6 +115,13 @@ class TestRunLadder:
         with pytest.raises(ValueError, match="design_mode"):
             run_cells("lasso", [200], 50, 1, {"design_mode": "jittered"})
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_fewer_than_one_worker_rejected_before_any_replicate(self, monkeypatch, workers):
+        # a replicate that ran would raise TypeError instead
+        TestReplicateFailures._fail(monkeypatch, TypeError("ran"), set(range(50)))
+        with pytest.raises(ValueError, match=f"must be >= 1, got {workers}"):
+            run_cells("shorth", [100], 50, 5, workers=workers)
+
     def test_design_modes_give_different_records(self):
         fresh = run_cells("lasso", [120], 50, 9, {"design_mode": "fresh"})
         fixed = run_cells("lasso", [120], 50, 9, {"design_mode": "fixed"})

@@ -489,6 +489,66 @@ class TestZeroScreen:
         assert not _provably_zero(X.T @ X, X.T @ y, ols, lo, hi, 0.0, 0.5).any()
 
 
+def several_free_instance(gamma, r):
+    """d = 3, n = 8, truth (6, -3, 2) on stream 4000 + r at seed 1729: the
+    screen leaves two or three coordinates free."""
+    s = SeedStream(1729, 4000 + r)
+    X = generate_lasso_design(8, 3, s)
+    beta = np.array([6.0, -3.0, 2.0])
+    y = X @ beta + s.child("y").generator().standard_normal(8)
+    return y, LassoConfig(X, beta, gamma=gamma, lambda0=2.0)
+
+
+class TestSearch:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_several_free_coordinates_never_above_a_finer_grid(self, gamma):
+        # the grid and polish over two or three free coordinates, against a
+        # residual-form grid finer than the solver's 101 per axis
+        for r in range(6):
+            y, cfg = several_free_instance(gamma, r)
+            X, lam = cfg.design, cfg.lambda_n
+            ols, lo, hi = minimizer_box(X.T @ X, X.T @ y, lam, gamma)
+            zero = _provably_zero(X.T @ X, X.T @ y, ols, lo, hi, lam, gamma)
+            assert np.count_nonzero(~zero) >= 2
+            fit = fit_bridge_lasso(y, cfg)
+            assert fit.alpha_hat[zero].tolist() == [0.0] * np.count_nonzero(zero)
+            best = residual_grid_min(y, cfg, lo, hi, points=151)
+            assert fit.criterion_value <= best + 1e-12 * abs(best)
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+    def test_one_free_coordinate_is_solved_exactly(self, gamma):
+        # A nonzero free coordinate b_j is a stationary point of the
+        # criterion, 2 (X'y - X'X b)_j = lam gamma |b_j|^(gamma - 1) sign(b_j),
+        # and the fit is never above a 10^5-point residual-form grid of
+        # [lo_j, hi_j] with 0 inserted.  Negated responses mirror the fit.
+        seen = [0, 0]
+        for r in range(12):
+            y0, cfg, _, zero = screen_instance(40, 2, gamma, r)
+            if np.count_nonzero(~zero) != 1:
+                continue
+            (j,) = np.flatnonzero(~zero)
+            X, x, lam = cfg.design, cfg.design[:, j], cfg.lambda_n
+            for y in (y0, -y0):
+                _, lo, hi = box_of(y, cfg)
+                fit = fit_bridge_lasso(y, cfg)
+                b = fit.alpha_hat
+                assert fit.zero_flags.tolist() == [k != j or b[j] == 0.0 for k in range(2)]
+                seen[bool(b[j] != 0.0)] += 1
+                if b[j] != 0.0:
+                    g = 2.0 * (X.T @ y - X.T @ X @ b)[j]
+                    pen = lam * gamma * abs(b[j]) ** (gamma - 1.0) * np.sign(b[j])
+                    assert abs(g - pen) <= 1e-9 * lam
+                zero_line = [0.0] if lo[j] < 0.0 < hi[j] else []
+                t = np.union1d(np.linspace(lo[j], hi[j], 100_000), zero_line)
+                best = math.inf
+                for c in np.array_split(t, 20):
+                    resid = y[None, :] - np.outer(c, x)
+                    vals = np.sum(resid**2, axis=1) + lam * np.abs(c) ** gamma
+                    best = min(best, float(vals.min()))
+                assert fit.criterion_value <= best + 1e-12 * abs(best)
+        assert seen[True] >= 8, seen
+
+
 class TestDimensionCap:
     def test_four_coefficients_rejected_naming_the_grid(self):
         X = generate_lasso_design(20, 4, SeedStream(18, 0))
