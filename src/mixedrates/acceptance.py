@@ -37,7 +37,14 @@ from .estimators import (
     generate_lasso_design,
     minimizer_box,
 )
-from .harness import EXPERIMENTS, compare_with_limit, fit_rate, ks_two_sample, run_cells
+from .harness import (
+    EXPERIMENTS,
+    check_workers,
+    compare_with_limit,
+    fit_rate,
+    ks_two_sample,
+    run_cells,
+)
 from .limits import (
     KMEANS_SIGMA,
     ChernoffConfig,
@@ -611,7 +618,9 @@ def _check_list(tier: TierParams, master_seed: int, workers: int) -> list:
 def run_all(tier: TierParams, master_seed: int = DEFAULT_SEED, workers: int = 1,
             progress=None) -> list[CheckResult]:
     """Run every acceptance check; deterministic given the master seed.
-    Each result carries the check's wall time in ``wall_s``."""
+    Each result carries the check's wall time in ``wall_s``.  ``workers``
+    below 1 raises ``ValueError`` before the first check runs."""
+    check_workers(workers)
     results = []
     for run in _check_list(tier, master_seed, workers):
         t0 = time.perf_counter()

@@ -1,6 +1,10 @@
 """Command-line front end: rate calculus queries, Monte Carlo experiment
 runs, limit-law sampling, and the acceptance suite.
 
+A ``simulate`` run is a ``harness.LadderConfig`` plus a worker count.  Each
+of its settings, and each parameter in the experiment registry, is one
+config-file key and one flag read with one converter (``_settings``).
+
 Exit codes: 0 success, 2 usage error, 3 invalid configuration or runtime
 failure, 4 verification failed.
 """
@@ -8,13 +12,13 @@ failure, 4 verification failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -84,33 +88,22 @@ def _environment() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-for-bit on the same build,
-    plus per-check outcomes when the run was a verification."""
-
-    version: str
-    command: str
-    config: dict
-    master_seed: int
-    started: str
-    finished: str
-    checks: list
-    outputs: list
-    environment: dict = field(default_factory=_environment)
-
-    def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "environment": self.environment,
-            "command": self.command,
-            "config": _jsonable(self.config, float),
-            "master_seed": self.master_seed,
-            "started": self.started,
-            "finished": self.finished,
-            "checks": _jsonable(self.checks, float),
-            "outputs": list(self.outputs),
-        }
+def _manifest(command: str, config: dict, started: str, checks=(), outputs=()) -> dict:
+    """The ``manifest.json`` of a run, finished now: everything needed to
+    reproduce it bit-for-bit on the same build (``config`` holds its
+    ``master_seed``), plus per-check outcomes when the run was a
+    verification.  Floats in ``config`` and ``checks`` are kept whole."""
+    return {
+        "version": __version__,
+        "environment": _environment(),
+        "command": command,
+        "config": _jsonable(config, float),
+        "master_seed": config["master_seed"],
+        "started": started,
+        "finished": _utcnow(),
+        "checks": _jsonable(list(checks), float),
+        "outputs": list(outputs),
+    }
 
 
 def _sig6(x: float) -> float:
@@ -125,14 +118,38 @@ def _utcnow() -> str:
 
 
 # ---------------------------------------------------------------------------
-# config files: flat "key = value" lines with # comments
+# simulate settings: each is the config-file key <key> and the flag --<key>
+# with "_" written as "-" (master_seed is --seed), read with one converter
 
-_INT_KEYS = {"replicates", "master_seed", "d", "threads"}
-_FLOAT_KEYS = {"lambda0", "gamma", "sigma"}
-_KNOWN_KEYS = {"experiment", "n_values", "summary", "design_mode"} | _INT_KEYS | _FLOAT_KEYS
+
+def _ladder(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+# key -> (converter, flag help); everything but threads is a LadderConfig field
+_RUN_SETTINGS = {
+    "experiment": (str, "experiment to run"),
+    "n_values": (_ladder, "comma-separated ladder, e.g. 250,500,1000,2000"),
+    "replicates": (int, "replicates per ladder point"),
+    "master_seed": (int, f"master seed (default {DEFAULT_SEED})"),
+    "summary": (str, "error aggregate for rate fits, median-abs (default) or rmse"),
+    "threads": (int, "worker processes (default 1)"),
+}
+
+
+def _settings() -> dict:
+    """``_RUN_SETTINGS`` and every registry parameter, read as the type of
+    its default.  Built at call time, so the parser and the config file see
+    the registry as it is then."""
+    table = dict(_RUN_SETTINGS)
+    for name, exp in EXPERIMENTS.items():
+        for key, default in exp.defaults.items():
+            table.setdefault(key, (type(default), f"{name} parameter (default {default})"))
+    return table
 
 
 def parse_config_file(path: Path) -> dict:
+    settings = _settings()
     values: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,16 +159,9 @@ def parse_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in settings:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "n_values":
-            values[key] = tuple(int(v) for v in val.replace(",", " ").split())
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        else:
-            values[key] = val
+        values[key] = settings[key][0](val)
     return values
 
 
@@ -178,23 +188,18 @@ def _cmd_rates(args) -> int:
 # subcommand: simulate
 
 
-def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> tuple[dict, dict]:
-    """Summary statistics plus plot-ready arrays.
+def summarize(records, cfg: LadderConfig) -> tuple[dict, dict]:
+    """Summary statistics plus plot-ready arrays; the rate fits aggregate
+    errors by ``cfg.summary``.
 
     Returns (summary dict, plotdata dict of name -> list of rows).
     """
     exp = EXPERIMENTS[cfg.experiment]
     top_n = cfg.n_values[-1]
-    summary: dict = {
-        "experiment": cfg.experiment,
-        "n_values": list(cfg.n_values),
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
-        "params": {k: v for k, v in cfg.params.items()},
-        "error_summary": summary_kind,
-        "rates": {},
-        "ks_vs_limit": {},
-    }
+    # the config's fields, with its summary kind written as error_summary
+    summary = dataclasses.asdict(cfg)
+    summary["error_summary"] = summary.pop("summary")
+    summary.update(rates={}, ks_vs_limit={})
     plotdata: dict = {}
     extras, collapsed = exp.summaries(records, cfg.n_values)
     summary.update(_jsonable(extras))
@@ -203,9 +208,7 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
         if comp in collapsed:
             summary["rates"][comp] = {"status": "collapsed to 0"}
             continue
-        est = fit_rate(
-            records, comp, summary=summary_kind, exclude_zero_flagged=comp in exp.sparse
-        )
+        est = fit_rate(records, comp, cfg.summary, exclude_zero_flagged=comp in exp.sparse)
         summary["rates"][comp] = {
             "slope": _sig6(est.slope),
             "slope_se": _sig6(est.slope_se),
@@ -213,7 +216,7 @@ def summarize(records, cfg: LadderConfig, summary_kind: str = "median-abs") -> t
             "n_range": [est.points[0][0], est.points[-1][0]],
             "target": str(-exponent),
         }
-        rows = [("log_n", f"log_{summary_kind.replace('-', '_')}_error")]
+        rows = [("log_n", f"log_{cfg.summary.replace('-', '_')}_error")]
         rows += [(repr(math.log(n)), repr(math.log(v))) for n, v in est.points]
         plotdata[f"{comp}_loglog"] = rows
 
@@ -251,62 +254,22 @@ def _write_outputs(out_dir: Path, records, summary, plotdata, manifest) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    settings: dict = {}
+    # values from the config file, overridden by every flag given
+    settings = {"experiment": None, "n_values": (), "replicates": 0,
+                "master_seed": DEFAULT_SEED, "threads": 1}
     if args.config:
         settings.update(parse_config_file(Path(args.config)))
-    if args.experiment:
-        settings["experiment"] = args.experiment
-    if args.n_values:
-        settings["n_values"] = tuple(int(v) for v in args.n_values.replace(",", " ").split())
-    if args.replicates is not None:
-        settings["replicates"] = args.replicates
-    if args.seed is not None:
-        settings["master_seed"] = args.seed
-    for key in ("lambda0", "gamma", "sigma", "design_mode", "summary"):
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
-
-    experiment = settings.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
-    params = {
-        k: settings[k]
-        for k in ("lambda0", "gamma", "sigma", "d", "design_mode")
-        if k in settings
-    }
-    cfg = LadderConfig(
-        experiment=experiment,
-        n_values=settings.get("n_values", ()),
-        replicates=settings.get("replicates", 0),
-        master_seed=settings.get("master_seed", DEFAULT_SEED),
-        params=params,
-    )
-    summary_kind = settings.get("summary", "median-abs")
-    if summary_kind not in ("median-abs", "rmse"):
-        raise ConfigError(f"summary must be 'median-abs' or 'rmse', got {summary_kind!r}")
-    threads = args.threads if args.threads is not None else int(settings.get("threads", 1))
+    settings.update((k, v) for k in _settings() if (v := getattr(args, k)) is not None)
+    threads = settings.pop("threads")
+    params = {k: settings.pop(k) for k in list(settings) if k not in _RUN_SETTINGS}
+    cfg = LadderConfig(**settings, params=params)
     started = _utcnow()
     records = run_ladder(cfg, workers=threads)
-    summary, plotdata = summarize(records, cfg, summary_kind)
-    manifest = RunManifest(
-        version=__version__,
-        command="simulate",
-        config={
-            "experiment": cfg.experiment,
-            "n_values": list(cfg.n_values),
-            "replicates": cfg.replicates,
-            "master_seed": cfg.master_seed,
-            "params": dict(cfg.params),
-            "summary": summary_kind,
-            "threads": threads,
-        },
-        master_seed=cfg.master_seed,
-        started=started,
-        finished=_utcnow(),
-        checks=[],
+    summary, plotdata = summarize(records, cfg)
+    manifest = _manifest(
+        "simulate", {**dataclasses.asdict(cfg), "threads": threads}, started,
         outputs=["records.csv", "summary.json", "plotdata/"],
-    ).as_dict()
+    )
     out_dir = Path(args.out_dir)
     _write_outputs(out_dir, records, summary, plotdata, manifest)
     print(f"wrote {len(records)} records to {out_dir}/records.csv")
@@ -366,16 +329,12 @@ def _cmd_verify(args) -> int:
     tier = TIERS["full" if args.full else "quick"]
     started = _utcnow()
     results = run_all(tier, master_seed=args.seed, workers=args.threads, progress=print)
-    finished = _utcnow()
     ok = all(r.passed for r in results)
     if args.out_dir:
-        manifest = RunManifest(
-            version=__version__,
-            command="verify",
-            config={"tier": tier.name, "master_seed": args.seed, "threads": args.threads},
-            master_seed=args.seed,
-            started=started,
-            finished=finished,
+        manifest = _manifest(
+            "verify",
+            {"tier": tier.name, "master_seed": args.seed, "threads": args.threads},
+            started,
             checks=[
                 {
                     "name": r.name,
@@ -386,8 +345,7 @@ def _cmd_verify(args) -> int:
                 }
                 for r in results
             ],
-            outputs=[],
-        ).as_dict()
+        )
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -444,26 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo ladder and write reports")
     p_sim.add_argument("--config", help="flat 'key = value' config file (# comments allowed)")
-    p_sim.add_argument("--experiment", choices=EXPERIMENTS)
-    p_sim.add_argument("--n-values", help="comma-separated ladder, e.g. 250,500,1000,2000")
-    p_sim.add_argument("--replicates", type=int)
-    p_sim.add_argument("--seed", type=int, help="master seed (default %(default)s)")
-    p_sim.add_argument("--lambda0", type=float, help="penalty scale (lasso)")
-    p_sim.add_argument("--gamma", type=float, help="penalty exponent in (0, 1] (lasso)")
-    p_sim.add_argument("--sigma", type=float, help="noise standard deviation (lasso)")
-    p_sim.add_argument(
-        "--design-mode",
-        dest="design_mode",
-        choices=("fresh", "fixed"),
-        help="lasso design per replicate (fresh) or shared per sample size (fixed)",
-    )
-    p_sim.add_argument(
-        "--summary",
-        choices=("median-abs", "rmse"),
-        help="error aggregate for rate fits (default median-abs)",
-    )
+    for key, (convert, help_text) in _settings().items():
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        # an experiment not in the registry is a usage error on the command line
+        choices = EXPERIMENTS if key == "experiment" else None
+        p_sim.add_argument(flag, dest=key, type=convert, choices=choices, help=help_text)
     p_sim.add_argument("--out-dir", default="out", help="output directory (default %(default)s)")
-    p_sim.add_argument("--threads", type=int, default=None, help="worker processes (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_lim = sub.add_parser("limit", help="sample a limiting law (or dump raw source draws)")

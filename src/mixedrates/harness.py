@@ -326,17 +326,23 @@ EXPERIMENTS: dict[str, Experiment] = {
 @dataclass(frozen=True)
 class LadderConfig:
     """One experiment over a geometric ladder of sample sizes; ``params``
-    comes back with the experiment's defaults filled in."""
+    comes back with the experiment's defaults filled in.  ``summary`` is the
+    per-n error aggregate of the rate fits, ``median-abs`` or ``rmse``."""
 
     experiment: str
     n_values: tuple[int, ...]
     replicates: int
     master_seed: int
     params: Mapping[str, object] = field(default_factory=dict)
+    summary: str = "median-abs"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ValueError(
+                f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}"
+            )
+        if self.summary not in ("median-abs", "rmse"):
+            raise ValueError(f"summary must be 'median-abs' or 'rmse', got {self.summary!r}")
         ns = tuple(int(n) for n in self.n_values)
         if len(ns) < 4:
             raise ValueError("need at least 4 ladder points for rate fitting")
@@ -352,6 +358,12 @@ def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list
     # the runner is looked up by name in the worker, so a forked pool runs a
     # patched registry entry even when its runner cannot be pickled
     return EXPERIMENTS[experiment].run_replicate(params, master_seed, n, r)
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1, the one check of ``--threads``."""
+    if workers < 1:
+        raise ValueError(f"workers (--threads) must be >= 1, got {workers}")
 
 
 def run_cells(
@@ -370,8 +382,7 @@ def run_cells(
     propagates unchanged and ends the run.  ``workers`` below 1 raises
     ``ValueError`` before any replicate runs.
     """
-    if workers < 1:
-        raise ValueError(f"workers (--threads) must be >= 1, got {workers}")
+    check_workers(workers)
     exp = EXPERIMENTS[experiment]
     merged = exp.resolve(params)
     tasks = [(n, r) for n in n_values for r in range(replicates)]

@@ -5,9 +5,11 @@ import json
 import os
 import pkgutil
 import platform
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,121 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
         assert "must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+LADDER = ["--n-values", "60,120,240,480", "--replicates", "50", "--seed", "3"]
+
+
+class TestSettingsFromRegistry:
+    """Every registry parameter is a flag and a config-file key, with no
+    edit to the CLI."""
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [(e, k) for e, exp in EXPERIMENTS.items() for k in exp.defaults],
+    )
+    def test_registry_parameter_is_a_flag_and_a_config_key(self, tmp_path, experiment, key):
+        default = EXPERIMENTS[experiment].defaults[key]
+        flag = "--" + key.replace("_", "-")
+        args = cli.build_parser().parse_args(["simulate", flag, str(default)])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {default}\n")
+        from_file = cli.parse_config_file(cfg)[key]
+        for value in (getattr(args, key), from_file):
+            assert value == default
+            assert type(value) is type(default)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_parameter_added_to_the_registry_reaches_the_summary(
+        self, monkeypatch, tmp_path, capsys, source
+    ):
+        shorth = EXPERIMENTS["shorth"]
+        monkeypatch.setitem(
+            EXPERIMENTS, "shorth", dataclasses.replace(shorth, defaults={"bandwidth": 0.5})
+        )
+        argv = ["simulate", "--experiment", "shorth", *LADDER, "--out-dir", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--bandwidth", "3"]
+        else:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("bandwidth = 3\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert repr(summary["params"]) == repr({"bandwidth": 3.0})
+
+    def test_dimension_flag_and_config_line_give_identical_records(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("d = 3\n")
+        base = ["simulate", "--experiment", "lasso", *LADDER]
+        assert run_cli([*base, "--d", "3", "--out-dir", str(tmp_path / "flag")]) == 0
+        assert run_cli([*base, "--config", str(cfg), "--out-dir", str(tmp_path / "file")]) == 0
+        flag, file = (tmp_path / "flag" / "records.csv"), (tmp_path / "file" / "records.csv")
+        assert flag.read_bytes() == file.read_bytes()
+        assert json.loads((tmp_path / "flag" / "summary.json").read_text())["params"]["d"] == 3
+
+
+class TestSimulateExitCodes:
+    """A value argparse cannot convert exits 2; a converted value that the
+    registry or ``LadderConfig`` rejects exits 3, from a flag or a file."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (["--design-mode", "bogus"], "design_mode must be 'fresh' or 'fixed', got 'bogus'"),
+            (["--summary", "bogus"], "summary must be 'median-abs' or 'rmse', got 'bogus'"),
+        ],
+        ids=["design-mode", "summary"],
+    )
+    def test_value_the_registry_or_config_rejects_exits_3(
+        self, tmp_path, capsys, setting, message
+    ):
+        argv = ["simulate", "--experiment", "lasso", *LADDER, *setting, "--out-dir", str(tmp_path)]
+        assert run_cli(argv) == 3
+        assert message in capsys.readouterr().err
+
+    def test_summary_in_config_file_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("summary = bogus\n")
+        argv = ["simulate", "--experiment", "lasso", *LADDER, "--config", str(cfg),
+                "--out-dir", str(tmp_path / "o")]
+        assert run_cli(argv) == 3
+        assert "summary must be 'median-abs' or 'rmse', got 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ["--n-values", "60,abc"],
+            ["--replicates", "abc"],
+            ["--experiment", "bogus"],
+        ],
+        ids=["n-values", "replicates", "experiment"],
+    )
+    def test_value_argparse_cannot_read_exits_2(self, tmp_path, setting):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--experiment", "lasso", *LADDER, *setting,
+                     "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+def _readme_command_lines() -> list[str]:
+    """The ``mixedrates ...`` lines of the README's "Command line" block,
+    continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        line.strip()
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("mixedrates ")
+    ]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +605,13 @@ class TestVerifyCommand:
         assert run_cli(argv) == 3
         assert f"must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_fewer_than_one_worker_runs_no_check(self, capsys, threads):
+        assert run_cli(["verify", "--quick", "--threads", threads]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"workers (--threads) must be >= 1, got {threads}" in captured.err
 
     def test_tiers_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
