@@ -2,9 +2,9 @@
 
 Each check runs a Monte Carlo experiment at a declared scale and compares the
 outcome against a declared tolerance.  Two tiers exist: ``full`` (the binding
-thresholds, ~20 s) and ``quick`` (reduced scale smoke thresholds, ~6 s),
-timed with two worker processes on 2 cores.  Checks are deterministic given
-the master seed.
+thresholds, 10-12 s) and ``quick`` (reduced scale smoke thresholds, ~3 s),
+timed at seed 1729 with two worker processes on 2 cores.  Checks are
+deterministic given the master seed.
 
 Every limit-law check is one ``_law_check`` (KS distance, with the empirical
 and reference mean and sd) and every rate check one ``_slope_check`` (log-log

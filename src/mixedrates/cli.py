@@ -23,12 +23,18 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, TIERS, run_all
 from .distributions import SeedStream, sample_two_line
 from .harness import (
+    ERROR_SUMMARIES,
     EXPERIMENTS,
     LadderConfig,
     compare_with_limit,
@@ -101,8 +107,22 @@ def _manifest(command: str, config: dict, started: str, checks=(), outputs=()) -
         "master_seed": config["master_seed"],
         "started": started,
         "finished": _utcnow(),
+        "peak_rss_mb": _peak_rss_mb(),
         "checks": _jsonable(list(checks), float),
         "outputs": list(outputs),
+    }
+
+
+def _peak_rss_mb() -> dict | None:
+    """Peak resident set size so far, in MiB, of this process ("self") and of
+    the largest of its children that have been waited for ("children"), such
+    as the pool workers; None where ``resource`` is missing."""
+    if resource is None:
+        return None
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes or KiB
+    return {
+        who: resource.getrusage(flag).ru_maxrss / unit
+        for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
     }
 
 
@@ -132,7 +152,11 @@ _RUN_SETTINGS = {
     "n_values": (_ladder, "comma-separated ladder, e.g. 250,500,1000,2000"),
     "replicates": (int, "replicates per ladder point"),
     "master_seed": (int, f"master seed (default {DEFAULT_SEED})"),
-    "summary": (str, "error aggregate for rate fits, median-abs (default) or rmse"),
+    "summary": (
+        str,
+        f"error aggregate for rate fits, one of {', '.join(ERROR_SUMMARIES)} "
+        f"(default {LadderConfig.summary})",
+    ),
     "threads": (int, "worker processes (default 1)"),
 }
 
@@ -449,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier_group.add_argument("--quick", action="store_true", help="reduced-scale tier (default)")
     tier_group.add_argument(
         "--full", action="store_true",
-        help="binding thresholds, ~20 s at --threads 2 on 2 cores",
+        help="binding thresholds, 10-12 s at --threads 2 on 2 cores",
     )
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--threads", type=int, default=1)

@@ -47,6 +47,7 @@ from .rates import CoarseRateSpec, RateSpec, coarse_rates, derive_rates
 
 __all__ = [
     "EXPERIMENTS",
+    "ERROR_SUMMARIES",
     "Experiment",
     "LadderConfig",
     "LadderRecord",
@@ -323,11 +324,26 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
+# the per-n aggregates of |error| that a rate fit can take, by name
+ERROR_SUMMARIES: dict[str, Callable[[np.ndarray], float]] = {
+    "median-abs": lambda errs: float(np.median(errs)),
+    "rmse": lambda errs: float(np.sqrt(np.mean(errs**2))),
+}
+
+
+def _error_summary(name: str) -> Callable[[np.ndarray], float]:
+    """The aggregate ``ERROR_SUMMARIES[name]``; an unknown name is a ValueError."""
+    if name not in ERROR_SUMMARIES:
+        kinds = " or ".join(map(repr, ERROR_SUMMARIES))
+        raise ValueError(f"summary must be {kinds}, got {name!r}")
+    return ERROR_SUMMARIES[name]
+
+
 @dataclass(frozen=True)
 class LadderConfig:
     """One experiment over a geometric ladder of sample sizes; ``params``
     comes back with the experiment's defaults filled in.  ``summary`` is the
-    per-n error aggregate of the rate fits, ``median-abs`` or ``rmse``."""
+    per-n error aggregate of the rate fits, a key of ``ERROR_SUMMARIES``."""
 
     experiment: str
     n_values: tuple[int, ...]
@@ -341,8 +357,7 @@ class LadderConfig:
             raise ValueError(
                 f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}"
             )
-        if self.summary not in ("median-abs", "rmse"):
-            raise ValueError(f"summary must be 'median-abs' or 'rmse', got {self.summary!r}")
+        _error_summary(self.summary)
         ns = tuple(int(n) for n in self.n_values)
         if len(ns) < 4:
             raise ValueError("need at least 4 ladder points for rate fitting")
@@ -448,13 +463,13 @@ def fit_rate(
 ) -> RateEstimate:
     """Least-squares slope of log(summary of |error|) against log(n).
 
-    ``summary`` is the per-n aggregate over replicates: median absolute error
-    (robust default) or root mean squared error.  ``exclude_zero_flagged``
+    ``summary`` names the per-n aggregate over replicates in
+    ``ERROR_SUMMARIES``: median absolute error (robust default) or root mean
+    squared error.  ``exclude_zero_flagged``
     drops exact-zero records first, for components whose theory predicts
     collapse to zero rather than a power law.
     """
-    if summary not in ("median-abs", "rmse"):
-        raise ValueError("summary must be 'median-abs' or 'rmse'")
+    aggregate = _error_summary(summary)
     by_n: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
     for rec in records:
@@ -475,10 +490,7 @@ def fit_rate(
     ns = np.array(sorted(by_n))
     sums = []
     for n in ns:
-        errs = np.asarray(by_n[n])
-        val = float(np.median(errs)) if summary == "median-abs" else float(
-            np.sqrt(np.mean(errs**2))
-        )
+        val = aggregate(np.asarray(by_n[n]))
         if val == 0.0:
             raise ValueError(
                 f"summary at n = {n} is exactly zero (log undefined); exclude the "

@@ -102,27 +102,43 @@ def _validate_grid(T: float, h: float) -> int:
     return int(n)
 
 
+_CHUNK = 512  # paths per stream chunk: part of the draw layout, fixed
+_BLOCK = 32  # paths per compute block: working memory only, any size gives the same draws
+
+
 def _chernoff_argmax_and_max(cfg: ChernoffConfig, stream: SeedStream):
     """Grid argmax and grid maximum of c2*t^2 + sqrt(c1)*B(t), one pair per
     path, with the tie-break and boundary rule of ``sample_chernoff_argmax``.
-    The maximum is never negative: t = 0 is on the grid and B(0) = 0.  Each
-    side t = +/-j*h, j = 1..n, runs in increasing |t|; each chunk of up to
-    512 paths draws its positive side's increments first, then its negative
-    side's."""
+    The maximum is never negative: t = 0 is on the grid and B(0) = 0.
+
+    Stream layout: each side t = +/-j*h, j = 1..n, runs in increasing |t|;
+    each chunk of up to 512 paths draws its positive side's increments
+    first, path by path, then its negative side's.  The paths are reduced
+    in blocks of 32 rows through one reused (32, n) buffer; a block draws
+    the next 32*n values of that same sequence, so the block size sets the
+    working memory, O(32 n + paths), and never the draws."""
     n = _validate_grid(cfg.T, cfg.h)
     gen = stream.generator()
     drift = cfg.c2 * (np.arange(1, n + 1) * cfg.h) ** 2
     sd, scale = math.sqrt(cfg.h), math.sqrt(cfg.c1)
     argmax = np.empty(cfg.paths, dtype=np.float64)
     maximum = np.empty(cfg.paths, dtype=np.float64)
-    for start in range(0, cfg.paths, 512):
-        m = min(512, cfg.paths - start)
-        obj = gen.standard_normal((2, m, n))  # positive side, then negative
-        obj *= sd
-        np.cumsum(obj, axis=2, out=obj)
-        obj *= scale
-        obj += drift
-        (jp, jn), (vp, vn) = np.argmax(obj, axis=2) + 1, np.max(obj, axis=2)
+    buf = np.empty((min(_BLOCK, cfg.paths), n))
+    for start in range(0, cfg.paths, _CHUNK):
+        m = min(_CHUNK, cfg.paths - start)
+        j, v = np.empty((2, m), dtype=np.intp), np.empty((2, m))
+        for side in range(2):  # positive side, then negative
+            for b in range(0, m, _BLOCK):
+                obj = buf[: min(_BLOCK, m - b)]
+                gen.standard_normal(out=obj)
+                obj *= sd
+                np.cumsum(obj, axis=1, out=obj)
+                obj *= scale
+                obj += drift
+                jb = np.argmax(obj, axis=1)
+                j[side, b : b + len(obj)] = jb + 1
+                v[side, b : b + len(obj)] = np.take_along_axis(obj, jb[:, None], axis=1)[:, 0]
+        (jp, jn), (vp, vn) = j, v
         neg = (vn > vp) | ((vn == vp) & (jn <= jp))
         top = np.where(neg, vn, vp)
         k = np.where(top > 0.0, np.where(neg, -jn, jp), 0)  # the origin wins ties at 0

@@ -351,13 +351,19 @@ def test_manifests_carry_environment(small_runs, monkeypatch, tmp_path, capsys):
     assert run_cli(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
     outs, _ = small_runs
     for path in (outs["kmeans"] / "manifest.json", tmp_path / "manifest.json"):
-        env = json.loads(path.read_text())["environment"]
+        manifest = json.loads(path.read_text())
+        env = manifest["environment"]
         assert env["mixedrates"] == mixedrates.__version__
         assert env["numpy"] == np.__version__
         assert env["python"] == platform.python_version()
         assert env["cpu_count"] == os.cpu_count()
         assert env["platform"]
         assert env["git_revision"] is None or len(env["git_revision"]) >= 40
+        peak = manifest["peak_rss_mb"]  # MiB, from getrusage
+        assert list(peak) == ["self", "children"]
+        assert peak["self"] > 1.0 and peak["children"] >= 0.0
+    monkeypatch.setattr(cli, "resource", None)
+    assert cli._manifest("verify", {"master_seed": 1}, "now")["peak_rss_mb"] is None
 
 
 def test_git_revision_is_none_without_git_or_checkout(monkeypatch):

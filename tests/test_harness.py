@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from mixedrates import harness
 from mixedrates.estimators import DesignError
 from mixedrates.harness import (
     EXPERIMENTS,
@@ -234,6 +235,16 @@ class TestFitRate:
         errs = {n: [n**-0.25, -(n**-0.25)] * 25 for n in (100, 200, 400, 800)}
         est = fit_rate(synthetic_records("m", errs), "m", summary="rmse")
         assert est.slope == pytest.approx(-0.25, abs=1e-12)
+
+    def test_summary_kinds_are_the_keys_of_one_mapping(self, monkeypatch):
+        errs = {n: [n**-0.25, -(n**-0.25)] * 25 for n in (100, 200, 400, 800)}
+        with pytest.raises(ValueError, match="must be 'median-abs' or 'rmse', got 'max'"):
+            fit_rate(synthetic_records("m", errs), "m", summary="max")
+        monkeypatch.setitem(harness.ERROR_SUMMARIES, "max", lambda e: float(np.max(e)))
+        est = fit_rate(synthetic_records("m", errs), "m", summary="max")
+        assert est.slope == pytest.approx(-0.25, abs=1e-12)
+        cfg = LadderConfig("shorth", (100, 200, 400, 800), 50, 1, summary="max")
+        assert cfg.summary == "max"
 
 
 class TestKsTwoSample:

@@ -323,10 +323,8 @@ class TestSoftThreshold:
         # g = 2 (X'y - X'X b) has g_j = lam sign(b_j) where b_j != 0 and
         # |g_j| <= lam where b_j = 0.  A coordinate that should be exactly
         # zero but is reported nonzero misses the first by up to 2 lam.
-        # With a zero coordinate the other is its slice's exact minimizer.
-        # With none, the polish stops once no slice step lowers f by more
-        # than 1e-12 (1 + f), which leaves |g_j - lam sign(b_j)| up to
-        # 2 sqrt(Q_jj 1e-12 (1 + f)).
+        # With a zero coordinate the other is its slice's exact minimizer;
+        # with none, a Newton solve of both equations ends the polish.
         for r in range(60):
             s = SeedStream(2024, r)
             X = generate_lasso_design(n, 2, s)
@@ -335,12 +333,30 @@ class TestSoftThreshold:
             fit = fit_bridge_lasso(y, cfg)
             b, lam, xtx = fit.alpha_hat, cfg.lambda_n, X.T @ X
             g = 2.0 * (X.T @ y - xtx @ b)
-            tol = np.full(2, 1e-9 * lam)
-            if not fit.zero_flags.any():
-                tol += 2.0 * np.sqrt(np.diag(xtx) * 1e-12 * (1.0 + fit.criterion_value))
+            tol = 1e-9 * lam
             nonzero = ~fit.zero_flags
-            assert np.all(np.abs(g - lam * np.sign(b))[nonzero] <= tol[nonzero]), (r, b, g / lam)
-            assert np.all(np.abs(g)[~nonzero] <= lam + tol[~nonzero]), (r, b, g / lam)
+            assert np.all(np.abs(g - lam * np.sign(b))[nonzero] <= tol), (r, b, g / lam)
+            assert np.all(np.abs(g)[~nonzero] <= lam + tol), (r, b, g / lam)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nonzero_coordinates_solve_their_stationarity_equations(self, d):
+        # at gamma = 1/2 the criterion is smooth away from zero, so each
+        # nonzero coordinate of a fit solves
+        # 2 (X'X b - X'y)_j + lam gamma |b_j|^(gamma - 1) sign(b_j) = 0
+        beta = np.array([1.0, 0.3, -0.2])[:d]
+        several = 0
+        for r in range(40):
+            s = SeedStream(77, r)
+            X = generate_lasso_design(200, d, s)
+            y = X @ beta + s.child("noise").generator().standard_normal(200)
+            cfg = LassoConfig(design=X, beta_true=beta, gamma=0.5, lambda0=0.5)
+            fit = fit_bridge_lasso(y, cfg)
+            b, lam, nz = fit.alpha_hat, cfg.lambda_n, ~fit.zero_flags
+            pen = 0.5 * lam * np.abs(b[nz]) ** -0.5 * np.sign(b[nz])
+            g = 2.0 * (X.T @ X @ b - X.T @ y)[nz] + pen
+            assert np.all(np.abs(g) <= 1e-9 * lam), (r, b, g / lam)
+            several += int(nz.sum()) >= 2
+        assert several >= 20
 
 
 def residual_grid_min(y, cfg, lo, hi, points):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import kstwobign
 
 from mixedrates.distributions import SeedStream, sample_gaussian_vector
 from mixedrates.estimators import shorth_population
-from mixedrates.harness import ks_two_sample
+from mixedrates.harness import EXPERIMENTS, ks_two_sample
 from mixedrates.limits import (
     GRID_MAX_SHIFT,
     KMEANS_SIGMA,
@@ -223,13 +224,29 @@ class TestChernoffArgmax:
         ],
     )
     def test_kernel_matches_lexsort_reference(self, c1, c2, T, h):
-        # 600 paths span two 512-path chunks; the last case pins every
-        # argmax at the origin
-        cfg = ChernoffConfig(c1, c2, T=T, h=h, paths=600)
-        t, s = _chernoff_argmax_and_max(cfg, SeedStream(34, 0))
-        t_ref, s_ref = lexsort_argmax_and_max(cfg, SeedStream(34, 0))
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(s, s_ref)
+        # against the 32-path compute block and the 512-path stream chunk:
+        # one path, a partial block (31), a full block and one more (33), a
+        # full chunk and a partial one (513, 600) and two chunks and a
+        # partial one (1025); the last case pins every argmax at the origin
+        for paths in (1, 31, 33, 513, 600, 1025):
+            cfg = ChernoffConfig(c1, c2, T=T, h=h, paths=paths)
+            t, s = _chernoff_argmax_and_max(cfg, SeedStream(34, 0))
+            t_ref, s_ref = lexsort_argmax_and_max(cfg, SeedStream(34, 0))
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(s, s_ref)
+
+    def test_kernel_memory_does_not_grow_with_the_stream_chunk(self):
+        # 10000 default-grid paths: a (2, 512, 1000) chunk array and its
+        # reduction peaked at 16 MiB; a (32, 1000) block and the outputs
+        # stay under 2 MiB
+        cfg = ChernoffConfig(1.0, -1.0, paths=10_000)
+        tracemalloc.start()
+        try:
+            _chernoff_argmax_and_max(cfg, SeedStream(34, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_boundary_hits_raise(self):
         cfg = ChernoffConfig(c1=1.0, c2=-0.001, T=1.0, h=0.01, paths=500)
@@ -327,6 +344,20 @@ class TestShorthRLimit:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_shorth_r_limit(self._cfg(paths=10), 0, SeedStream(33, 7), SeedStream(33, 8))
+
+    @pytest.mark.parametrize(
+        "component, digest",
+        [
+            ("m", "50c7cd522e831e8814d5ad4c8028fb2d8b427d47692f1f5700f10c2ddbc8e373"),
+            ("r", "52f128dd063e12b88e94a3e81b03ac4d6b9d6f8cd10675256cbc03732513f7fc"),
+        ],
+    )
+    def test_reference_draws_are_pinned_bit_for_bit(self, component, digest):
+        # sha256 of the float64 bytes of the reference draws the full-tier
+        # shorth-m-law and shorth-r-law checks read at seed 1729
+        draws = EXPERIMENTS["shorth"].laws[component]({}, 1729, 64000, 2000)
+        assert draws.shape == (2000,) and draws.dtype == np.float64
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 class TestLassoLimit:
