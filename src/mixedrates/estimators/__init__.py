@@ -5,8 +5,11 @@ from .lasso import (
     DesignError,
     LassoConfig,
     LassoFit,
+    check_bridge_params,
     fit_bridge_lasso,
+    fit_bridge_lasso_block,
     generate_lasso_design,
+    generate_lasso_designs,
     minimizer_box,
 )
 from .shorth import (
@@ -32,8 +35,11 @@ __all__ = [
     "DesignError",
     "LassoConfig",
     "LassoFit",
+    "check_bridge_params",
     "fit_bridge_lasso",
+    "fit_bridge_lasso_block",
     "generate_lasso_design",
+    "generate_lasso_designs",
     "minimizer_box",
     "ShorthFit",
     "ShorthPopulation",

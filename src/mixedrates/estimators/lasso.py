@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +21,11 @@ __all__ = [
     "LassoConfig",
     "LassoFit",
     "DesignError",
+    "check_bridge_params",
     "generate_lasso_design",
+    "generate_lasso_designs",
     "fit_bridge_lasso",
+    "fit_bridge_lasso_block",
     "minimizer_box",
 ]
 
@@ -30,6 +34,18 @@ _MIN_EIGENVALUE = 1e-6
 
 class DesignError(ValueError):
     """The design matrix is unusable (singular normalized Gram matrix)."""
+
+
+def check_bridge_params(gamma, lambda0, sigma) -> None:
+    """Reject a penalty exponent outside (0, 1], a negative penalty scale or
+    noise sd, and any of the three that is not finite."""
+    for name, value in (("gamma", gamma), ("lambda0", lambda0), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    if lambda0 < 0.0 or sigma < 0.0:
+        raise ValueError("lambda0 and sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -47,10 +63,7 @@ class LassoConfig:
         b = np.asarray(beta_true, dtype=np.float64).ravel()
         if X.ndim != 2 or X.shape[1] != b.size:
             raise ValueError("design must be an n x d matrix matching beta_true")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if lambda0 < 0.0 or sigma < 0.0:
-            raise ValueError("lambda0 and sigma must be nonnegative")
+        check_bridge_params(gamma, lambda0, sigma)
         col_means = X.mean(axis=0)
         if np.max(np.abs(col_means)) > 1e-10:
             raise ValueError("design columns must be centered to mean zero")
@@ -88,18 +101,52 @@ def generate_lasso_design(n: int, d: int, stream: SeedStream) -> np.ndarray:
 
     Bounded entries keep the leverage condition automatic and the normalized
     Gram matrix converges to identity/3.  A singular draw is retried on the
-    next stream index, at most three times.
+    next stream index, at most three times.  This is the stack of one of
+    ``generate_lasso_designs``.
+    """
+    return generate_lasso_designs(n, d, [stream])[0][0]
+
+
+def generate_lasso_designs(
+    n: int, d: int, streams: Sequence[SeedStream]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One design per stream, each drawn by the rule of
+    ``generate_lasso_design``, as a (B, n, d) stack, with its Gram matrices
+    X'X, a (B, d, d) stack.
+
+    The draws are centered, their X'X formed and their normalized Gram
+    matrices X'X/n checked as one stack.  A rejected draw is redrawn on the
+    next index of its own stream; one still singular after 4 attempts raises
+    ``DesignError``.
     """
     if n < d + 1:
         raise ValueError("need n >= d + 1 observations")
-    for attempt in range(4):
-        gen = SeedStream(stream.master_seed, stream.stream_index + attempt).generator()
-        X = gen.uniform(-1.0, 1.0, size=(n, d))
-        X -= X.mean(axis=0)
-        cn = X.T @ X / n
-        if np.linalg.eigvalsh(cn)[0] > _MIN_EIGENVALUE:
-            return X
-    raise DesignError("could not draw a nonsingular design in 4 attempts")
+    X, xtx = _centered_draws(n, d, streams, 0)
+    bad = _singular(xtx, n)
+    for attempt in range(1, 4):
+        if not bad.size:
+            break
+        X[bad], xtx[bad] = _centered_draws(n, d, [streams[i] for i in bad], attempt)
+        bad = bad[_singular(xtx[bad], n)]
+    if bad.size:
+        raise DesignError("could not draw a nonsingular design in 4 attempts")
+    return X, xtx
+
+
+def _centered_draws(n: int, d: int, streams, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``attempt`` of each stream's design, centered, and its X'X."""
+    X = np.empty((len(streams), n, d))
+    for i, s in enumerate(streams):
+        gen = SeedStream(s.master_seed, s.stream_index + attempt).generator()
+        X[i] = gen.uniform(-1.0, 1.0, size=(n, d))
+    X -= X.mean(axis=1, keepdims=True)
+    return X, np.swapaxes(X, 1, 2) @ X
+
+
+def _singular(xtx: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the stacked X'X whose X'X/n has its smallest eigenvalue at
+    or below ``_MIN_EIGENVALUE``."""
+    return np.flatnonzero(~(np.linalg.eigvalsh(xtx / n)[:, 0] > _MIN_EIGENVALUE))
 
 
 def minimizer_box(
@@ -114,12 +161,24 @@ def minimizer_box(
     f(b*) <= min(f(ols), f(0)), so (b* - ols)' Q (b* - ols) <= rho with
     rho = min(lam P(ols), ols' Q ols), and Cauchy-Schwarz in the Q inner
     product gives |b*_j - ols_j| <= sqrt(rho (Q^-1)_jj).  Q is invertible
-    because ``LassoConfig`` rejects near-singular designs.
+    because ``generate_lasso_designs`` and ``LassoConfig`` reject
+    near-singular designs.
+
+    ``xtx`` (d, d) and ``xty`` (d,) give one box; stacks (B, d, d) and (B, d)
+    give one per instance, (B, d) arrays.
     """
-    ols = np.linalg.solve(xtx, xty)
-    rho = min(lam * float(np.sum(np.abs(ols) ** gamma)), float(ols @ xtx @ ols))
-    half = np.sqrt(rho * np.diag(np.linalg.inv(xtx)))
+    ols = np.linalg.solve(xtx, xty[..., None])[..., 0]
+    penalty = lam * np.sum(np.abs(ols) ** gamma, axis=-1)
+    quad = (ols[..., None, :] @ xtx @ ols[..., None])[..., 0, 0]
+    rho = np.where(quad < penalty, quad, penalty)  # min(penalty, quad), as Python's min
+    half = np.sqrt(rho[..., None] * np.diagonal(np.linalg.inv(xtx), axis1=-2, axis2=-1))
     return ols, ols - half, ols + half
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a stack of matrices and a stack of vectors, by stacked
+    matmul, which runs the single-matrix kernel on each pair."""
+    return (a @ v[..., None])[..., 0]
 
 
 def _provably_zero(xtx, xty, ols, lo, hi, lam: float, gamma: float) -> np.ndarray:
@@ -146,14 +205,16 @@ def _provably_zero(xtx, xty, ols, lo, hi, lam: float, gamma: float) -> np.ndarra
     off by less than (2d + 2) 2^-53 = 9e-16 of ``scale``, and c*_j, a few
     products and powers, by a few ulps of itself; the margin exceeds both by a
     factor over 10^5.
+
+    Like ``minimizer_box``, it takes one instance or a stack of them.
     """
     if lam == 0.0:
-        return np.zeros(ols.size, dtype=bool)
-    q = np.diag(xtx)
-    off = xtx - np.diag(q)
+        return np.zeros(ols.shape, dtype=bool)
+    q = np.diagonal(xtx, axis1=-2, axis2=-1)
+    off = np.where(np.eye(ols.shape[-1], dtype=bool), 0.0, xtx)
     half = 0.5 * (hi - lo)
-    bound = np.abs(off @ ols - xty) + np.abs(off) @ half
-    scale = np.abs(off) @ (np.abs(ols) + half) + np.abs(xty)
+    bound = np.abs(_matvec(off, ols) - xty) + _matvec(np.abs(off), half)
+    scale = _matvec(np.abs(off), np.abs(ols) + half) + np.abs(xty)
     s0 = (lam * (1.0 - gamma) / q) ** (1.0 / (2.0 - gamma))
     c_star = lam * (2.0 - gamma) * s0 ** (gamma - 1.0)
     return 2.0 * (bound + 1e-9 * scale) < c_star
@@ -378,8 +439,8 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
     coordinate is screened, so d is capped at 3.
     """
     y = np.asarray(responses, dtype=np.float64).ravel()
-    X = config.design
-    n, d = X.shape
+    X = config.design[None]
+    n, d = X.shape[1:]
     if y.size != n:
         raise ValueError("responses length does not match the design")
     if d > 3:
@@ -387,12 +448,35 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
             f"d = {d} is not supported (d <= 3): the grid stage holds 102^d criterion "
             "values, and one float64 array of a 102^4 grid is 0.87 GB"
         )
-    xtx, xty, yty = X.T @ X, X.T @ y, float(y @ y)
-    lam, gamma = config.lambda_n, config.gamma
+    xtx = np.swapaxes(X, 1, 2) @ X
+    return fit_bridge_lasso_block(X, y[None], xtx, config.lambda_n, config.gamma)[0]
+
+
+def fit_bridge_lasso_block(
+    design: np.ndarray, responses: np.ndarray, xtx: np.ndarray, lam: float, gamma: float
+) -> list[LassoFit]:
+    """``fit_bridge_lasso`` of each instance of a stack: designs (B, n, d)
+    with their Gram matrices X'X (B, d, d), as ``generate_lasso_designs``
+    returns them, responses (B, n), and one penalty ``lam`` = lambda_n and
+    exponent ``gamma`` for all.
+
+    X'y, y'y, the box and the screen are computed once for the whole stack,
+    by stacked matmul in the association of the one-instance products, which
+    runs the same kernel on each instance (``np.einsum`` would round
+    differently); then ``_search`` runs on each instance.  No check is made:
+    ``fit_bridge_lasso`` and ``generate_lasso_designs`` make them.
+    """
+    y = responses[..., None]
+    xty = (np.swapaxes(design, 1, 2) @ y)[..., 0]
+    yty = (np.swapaxes(y, 1, 2) @ y)[:, 0, 0].tolist()
     ols, lo, hi = minimizer_box(xtx, xty, lam, gamma)
-    free = np.flatnonzero(~_provably_zero(xtx, xty, ols, lo, hi, lam, gamma)).tolist()
-    best_x, best_val = _search(free, ols, lo, hi, xtx, xty, yty, lam, gamma)
-    return LassoFit(alpha_hat=best_x, zero_flags=best_x == 0.0, criterion_value=best_val)
+    free = ~_provably_zero(xtx, xty, ols, lo, hi, lam, gamma)
+    fits = []
+    for b, yty_b in enumerate(yty):
+        free_b = np.flatnonzero(free[b]).tolist()
+        x, val = _search(free_b, ols[b], lo[b], hi[b], xtx[b], xty[b], yty_b, lam, gamma)
+        fits.append(LassoFit(alpha_hat=x, zero_flags=x == 0.0, criterion_value=val))
+    return fits
 
 
 def _search(free, ols, lo, hi, xtx, xty, yty, lam, gamma):

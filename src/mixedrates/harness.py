@@ -11,8 +11,12 @@ KS distance against a limit law: ``simulate`` and ``verify`` both take it.
 
 Every replicate draws from a stream derived solely from
 (master_seed, experiment, n, replicate), so concurrent and sequential runs
-produce byte-identical record sets once canonically sorted.  A replicate
-that raises ends the run: every record a run returns has a finite error.
+produce byte-identical record sets once canonically sorted.  ``run_cells``
+hands each runner a block of replicates of one rung, a ``range``: the whole
+rung in one process, about 16 blocks per worker in a pool.  A runner may
+compute a block at once, as the lasso runner does, but its records must not
+depend on how the rung was cut.  A replicate that raises ends the run: every
+record a run returns has a finite error.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ import numpy as np
 
 from .distributions import SeedStream, derive_stream_index
 from .estimators import (
-    LassoConfig,
-    fit_bridge_lasso,
+    check_bridge_params,
+    fit_bridge_lasso_block,
     fit_kmeans2_global,
     fit_shorth_sorted,
-    generate_lasso_design,
+    generate_lasso_designs,
     shorth_population,
 )
 from .limits import (
@@ -100,79 +104,104 @@ def _lasso_design_stream(master_seed: int, n: int, r: int, mode: str) -> SeedStr
     return _replicate_stream(master_seed, "lasso", n, 0 if mode == "fixed" else r, "design")
 
 
-def _run_lasso_replicate(params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
+# Rows (replicates x n) of one block of lasso replicates: with d <= 3 its
+# arrays stay near 200 kB at every n.  It bounds memory and changes no record.
+_LASSO_BLOCK_ROWS = 8192
+
+
+def _run_lasso_replicates(
+    params, master_seed: int, n: int, replicates: range
+) -> list[LadderRecord]:
+    """The replicates in blocks of ``_LASSO_BLOCK_ROWS // n``: each replicate
+    draws its design and noise from its own streams, and each block is fitted
+    as one stack (``fit_bridge_lasso_block``)."""
     d = int(params["d"])
     beta = np.zeros(d)
     beta[0] = 1.0
-    design_stream = _lasso_design_stream(master_seed, n, r, params["design_mode"])
-    design = generate_lasso_design(n, d, design_stream)
-    noise = (
-        _replicate_stream(master_seed, "lasso", n, r, "noise").generator().standard_normal(n)
-    )
-    y = design @ beta + params["sigma"] * noise
-    lasso_cfg = LassoConfig(
-        design=design,
-        beta_true=beta,
-        gamma=params["gamma"],
-        lambda0=params["lambda0"],
-        sigma=params["sigma"],
-    )
-    fit = fit_bridge_lasso(y, lasso_cfg)
-    return [
-        LadderRecord(
-            experiment="lasso",
-            n=n,
-            replicate=r,
-            component=comp,
-            error=float(fit.alpha_hat[j] - beta[j]),
-            zero_flag=bool(fit.zero_flags[j]),
-        )
-        for j, comp in enumerate(("alpha1", "alpha2"))
-    ]
+    lam, gamma = float(params["lambda0"]) * math.sqrt(n), float(params["gamma"])
+    step = max(1, _LASSO_BLOCK_ROWS // n)
+    records = []
+    for start in range(0, len(replicates), step):
+        block = replicates[start : start + step]
+        design_streams = [
+            _lasso_design_stream(master_seed, n, r, params["design_mode"]) for r in block
+        ]
+        X, xtx = generate_lasso_designs(n, d, design_streams)
+        # y = X beta + sigma noise, formed in place in the noise draws
+        y = np.empty((len(block), n))
+        for row, r in zip(y, block):
+            stream = _replicate_stream(master_seed, "lasso", n, r, "noise")
+            stream.generator().standard_normal(out=row)
+        y *= params["sigma"]
+        y += X @ beta
+        for r, fit in zip(block, fit_bridge_lasso_block(X, y, xtx, lam, gamma)):
+            records += [
+                LadderRecord(
+                    experiment="lasso",
+                    n=n,
+                    replicate=r,
+                    component=comp,
+                    error=float(fit.alpha_hat[j] - beta[j]),
+                    zero_flag=bool(fit.zero_flags[j]),
+                )
+                for j, comp in enumerate(("alpha1", "alpha2"))
+            ]
+    return records
 
 
-def _run_shorth_replicate(params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
-    data = _replicate_stream(master_seed, "shorth", n, r, "data").generator().standard_normal(n)
-    # the draw is ours: sorting it in place spares fit_shorth's sorted copy,
-    # whose fresh pages fault in on every large-n replicate
-    data.sort()
-    fit = fit_shorth_sorted(data)
-    pop = shorth_population()
-    errors = {"m": fit.m - pop.mu, "r": fit.r - pop.rho}
-    return [
-        LadderRecord(experiment="shorth", n=n, replicate=r, component=c, error=e)
-        for c, e in errors.items()
-    ]
+def _run_shorth_replicates(
+    params, master_seed: int, n: int, replicates: range
+) -> list[LadderRecord]:
+    records = []
+    for r in replicates:
+        stream = _replicate_stream(master_seed, "shorth", n, r, "data")
+        data = stream.generator().standard_normal(n)
+        # the draw is ours: sorting it in place spares fit_shorth's sorted
+        # copy, whose fresh pages fault in on every large-n replicate
+        data.sort()
+        fit = fit_shorth_sorted(data)
+        pop = shorth_population()
+        errors = {"m": fit.m - pop.mu, "r": fit.r - pop.rho}
+        records += [
+            LadderRecord(experiment="shorth", n=n, replicate=r, component=c, error=e)
+            for c, e in errors.items()
+        ]
+    return records
 
 
-def _run_kmeans_replicate(params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
-    pts = kmeans_two_line_sample(n, _replicate_stream(master_seed, "kmeans", n, r, "data"))
-    res = fit_kmeans2_global(pts)
-    cv = res.coords_cv
-    diags = []
-    if cv.empty_repair:
-        diags.append("empty_repair")
-    if cv.left_neighborhood:
-        diags.append("left_neighborhood")
-    errors = {
-        "delta_s": float(cv.delta_s),
-        "eps_d": float(cv.eps_d),
-        "delta_d": float(cv.delta_d),
-        "eps_s": float(cv.eps_s),
-    }
-    return [
-        LadderRecord(
-            experiment="kmeans",
-            n=n,
-            replicate=r,
-            component=c,
-            error=e,
-            choice=res.choice,
-            tie_flag=res.tie,
-            diag_flags=";".join(diags),
-        )
-        for c, e in errors.items()
-    ]
+def _run_kmeans_replicates(
+    params, master_seed: int, n: int, replicates: range
+) -> list[LadderRecord]:
+    records = []
+    for r in replicates:
+        pts = kmeans_two_line_sample(n, _replicate_stream(master_seed, "kmeans", n, r, "data"))
+        res = fit_kmeans2_global(pts)
+        cv = res.coords_cv
+        diags = []
+        if cv.empty_repair:
+            diags.append("empty_repair")
+        if cv.left_neighborhood:
+            diags.append("left_neighborhood")
+        errors = {
+            "delta_s": float(cv.delta_s),
+            "eps_d": float(cv.eps_d),
+            "delta_d": float(cv.delta_d),
+            "eps_s": float(cv.eps_s),
+        }
+        records += [
+            LadderRecord(
+                experiment="kmeans",
+                n=n,
+                replicate=r,
+                component=c,
+                error=e,
+                choice=res.choice,
+                tie_flag=res.tie,
+                diag_flags=";".join(diags),
+            )
+            for c, e in errors.items()
+        ]
+    return records
 
 
 def _check_lasso_params(params: Mapping[str, object]) -> None:
@@ -183,6 +212,7 @@ def _check_lasso_params(params: Mapping[str, object]) -> None:
     if params["d"] not in (2, 3):
         # records hold alpha1 and alpha2, and the solver's grid caps d at 3
         raise ValueError(f"lasso d must be 2 or 3, got {params['d']!r}")
+    check_bridge_params(params["gamma"], params["lambda0"], params["sigma"])
 
 
 def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
@@ -239,11 +269,13 @@ class Experiment:
     one experiment.
 
     ``rates`` maps each component, in record order, to its rescale exponent
-    from the rate calculus.  ``run_replicate(params, master_seed, n, r)``
-    returns one record per component.  ``laws`` maps components to their
-    limit law: ``law(params, master_seed, n, draws)`` returns draws of the
-    limit of n^tau times the error, from a fixed stream index under the
-    master seed; a component left out gets no KS comparison.
+    from the rate calculus.  ``run_replicates(params, master_seed, n,
+    replicates)`` returns one record per component for each replicate in the
+    ``range`` ``replicates``; a replicate's records do not depend on the
+    block it comes in.  ``laws`` maps components to their limit law:
+    ``law(params, master_seed, n, draws)`` returns draws of the limit of
+    n^tau times the error, from a fixed stream index under the master seed;
+    a component left out gets no KS comparison.
     ``summaries(records, n_values)`` returns
     extra summary entries and the components reported as collapsed instead
     of fitted.  Exact zeros of ``sparse`` components are left out of their
@@ -252,7 +284,7 @@ class Experiment:
     """
 
     rates: Mapping[str, Fraction]
-    run_replicate: Callable[..., list[LadderRecord]]
+    run_replicates: Callable[..., list[LadderRecord]]
     laws: Mapping[str, Callable[..., np.ndarray]]
     defaults: Mapping[str, object] = field(default_factory=dict)
     check_params: Callable[[Mapping[str, object]], None] = lambda params: None
@@ -285,7 +317,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         rates=dict.fromkeys(
             ("alpha1", "alpha2"), coarse_rates(CoarseRateSpec(2, 2, [(1, Fraction(1, 2))]))[0]
         ),
-        run_replicate=_run_lasso_replicate,
+        run_replicates=_run_lasso_replicates,
         laws={"alpha1": _lasso_alpha1_law},
         defaults={"d": 2, "lambda0": 2.0, "gamma": 0.5, "sigma": 1.0, "design_mode": "fresh"},
         check_params=_check_lasso_params,
@@ -302,7 +334,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             )[0],
             "r": Fraction(1, 2),
         },
-        run_replicate=_run_shorth_replicate,
+        run_replicates=_run_shorth_replicates,
         laws={"m": _shorth_m_law, "r": _shorth_r_law},
     ),
     # the cubic/quadratic two-block profile with three (2, 1) cross terms
@@ -314,7 +346,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "delta_d": _KMEANS_RATES.tau_b,
             "eps_s": _KMEANS_RATES.tau_b,
         },
-        run_replicate=_run_kmeans_replicate,
+        run_replicates=_run_kmeans_replicates,
         laws={
             c: functools.partial(_kmeans_law, column=j)
             for j, c in enumerate(("delta_s", "eps_d", "delta_d", "eps_s"))
@@ -369,10 +401,12 @@ class LadderConfig:
         object.__setattr__(self, "params", EXPERIMENTS[self.experiment].resolve(self.params))
 
 
-def _run_task(experiment: str, params, master_seed: int, n: int, r: int) -> list[LadderRecord]:
+def _run_task(
+    experiment: str, params, master_seed: int, n: int, replicates: range
+) -> list[LadderRecord]:
     # the runner is looked up by name in the worker, so a forked pool runs a
     # patched registry entry even when its runner cannot be pickled
-    return EXPERIMENTS[experiment].run_replicate(params, master_seed, n, r)
+    return EXPERIMENTS[experiment].run_replicates(params, master_seed, n, replicates)
 
 
 def check_workers(workers: int) -> None:
@@ -400,22 +434,28 @@ def run_cells(
     check_workers(workers)
     exp = EXPERIMENTS[experiment]
     merged = exp.resolve(params)
-    tasks = [(n, r) for n in n_values for r in range(replicates)]
+    # one block a rung in one process; in a pool, blocks of about 1/16 of a
+    # worker's share, so the workers stay evenly loaded
+    size = max(1, replicates if workers == 1 else len(n_values) * replicates // (workers * 16))
+    blocks = [
+        (n, range(replicates)[start : start + size])
+        for n in n_values
+        for start in range(0, replicates, size)
+    ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _run_task,
-                    (experiment for _ in tasks),
-                    (merged for _ in tasks),
-                    (master_seed for _ in tasks),
-                    (n for n, _ in tasks),
-                    (r for _, r in tasks),
-                    chunksize=max(1, len(tasks) // (workers * 16)),
+                    (experiment for _ in blocks),
+                    (merged for _ in blocks),
+                    (master_seed for _ in blocks),
+                    (n for n, _ in blocks),
+                    (block for _, block in blocks),
                 )
             )
     else:
-        results = [_run_task(experiment, merged, master_seed, n, r) for n, r in tasks]
+        results = [_run_task(experiment, merged, master_seed, n, block) for n, block in blocks]
 
     comp_order = {c: i for i, c in enumerate(exp.components)}
     records = [rec for chunk in results for rec in chunk]

@@ -245,12 +245,33 @@ class TestSimulateExitCodes:
         [
             (["--design-mode", "bogus"], "design_mode must be 'fresh' or 'fixed', got 'bogus'"),
             (["--summary", "bogus"], "summary must be 'median-abs' or 'rmse', got 'bogus'"),
+            (["--gamma", "1.5"], "gamma must lie in (0, 1]"),
+            (["--gamma", "0"], "gamma must lie in (0, 1]"),
+            (["--lambda0", "-1"], "lambda0 and sigma must be nonnegative"),
+            (["--sigma", "-1"], "lambda0 and sigma must be nonnegative"),
+            (["--gamma", "nan"], "gamma must be finite, got nan"),
+            (["--gamma", "inf"], "gamma must be finite, got inf"),
+            (["--lambda0", "nan"], "lambda0 must be finite, got nan"),
+            (["--lambda0", "inf"], "lambda0 must be finite, got inf"),
+            (["--sigma", "nan"], "sigma must be finite, got nan"),
+            (["--sigma", "inf"], "sigma must be finite, got inf"),
         ],
-        ids=["design-mode", "summary"],
+        ids=[
+            "design-mode", "summary", "gamma-above-one", "gamma-zero", "lambda0-negative",
+            "sigma-negative", "gamma-nan", "gamma-inf", "lambda0-nan", "lambda0-inf", "sigma-nan",
+            "sigma-inf",
+        ],
     )
     def test_value_the_registry_or_config_rejects_exits_3(
-        self, tmp_path, capsys, setting, message
+        self, monkeypatch, tmp_path, capsys, setting, message
     ):
+        # rejected before any replicate runs: a replicate that ran would raise
+        # TypeError, which main does not turn into an exit code
+        def ran(*args):
+            raise TypeError("ran")
+
+        lasso = dataclasses.replace(EXPERIMENTS["lasso"], run_replicates=ran)
+        monkeypatch.setitem(EXPERIMENTS, "lasso", lasso)
         argv = ["simulate", "--experiment", "lasso", *LADDER, *setting, "--out-dir", str(tmp_path)]
         assert run_cli(argv) == 3
         assert message in capsys.readouterr().err
@@ -299,6 +320,16 @@ def test_readme_command_lines_parse():
         cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
+# name -> experiment and extra settings.  The lasso defaults pin alpha2 by
+# the screen on every fit; --gamma 1 and --d 3 reach the grid, the polish and
+# the Newton step.
+SMALL_RUNS = {
+    **{experiment: (experiment,) for experiment in EXPERIMENTS},
+    "lasso-gamma1": ("lasso", "--gamma", "1"),
+    "lasso-d3": ("lasso", "--d", "3"),
+}
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
     """One small simulate run per experiment, counting covariance estimates
@@ -315,14 +346,14 @@ def small_runs(tmp_path_factory):
         for name, module in list(sys.modules.items()):
             if name.startswith("mixedrates") and getattr(module, "estimate_kmeans_cov", None) is real:
                 mp.setattr(module, "estimate_kmeans_cov", counting)
-        for experiment in EXPERIMENTS:
+        for name, (experiment, *setting) in SMALL_RUNS.items():
             out = tmp_path_factory.mktemp(experiment)
             argv = [
                 "simulate", "--experiment", experiment, "--n-values", "100,200,400,800",
-                "--replicates", "50", "--seed", "5", "--out-dir", str(out),
+                "--replicates", "50", "--seed", "5", "--out-dir", str(out), *setting,
             ]
             assert run_cli(argv) == 0
-            outs[experiment] = out
+            outs[name] = out
     return outs, len(calls)
 
 
@@ -408,31 +439,43 @@ SMALL_RUN_DIGESTS = {
         "records.csv": "148568a497d01e2a96b63865ba0593efc682dd21a672738f9ef50cefbac91249",
         "summary.json": "b52842fd11ef486353645b423456ab2ecaeb156d1b4caaa50eb43c75358c6105",
     },
+    "lasso-gamma1": {
+        "plotdata/alpha1_loglog.csv": "a79ab78c354482ee9b51d3cf1e11ab3ee3613fe8fddd9e22d255dedd17aad352",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "15a39e1fb1c0a0e7d9fdc5a900026b698fcc43035b3f69e7cecd34b9cbbb45be",
+        "records.csv": "afcdceaccfb3758fd6b405bad652309e0516ef5fe471fd88511fa7911084dda2",
+        "summary.json": "5570e7c85bc57d57def168d8f8b9e3e1edba84b0ad4bbd86dd8d04ce29736e5d",
+    },
+    "lasso-d3": {
+        "plotdata/alpha1_loglog.csv": "040ce6cb892a26fec18769a649f083e43a376a2e2e82e4f813d619ca9f6e7595",
+        "plotdata/alpha1_rescaled_vs_limit.csv": "30779dcd81a9f7d40a1f461a87b0cfa67810e3815bb45f1e2fcf4615c6d8acbd",
+        "records.csv": "3b75ff3650a0dfc116b7f3cd3fce99a25da61c8015d9d606637e96d12b1fda65",
+        "summary.json": "35a194578ef86a89f3034f051b23926a7e9861eece9217d8ad7c8bf99130fe18",
+    },
 }
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_small_run_outputs_are_byte_identical(small_runs, experiment):
+@pytest.mark.parametrize("run", SMALL_RUNS)
+def test_small_run_outputs_are_byte_identical(small_runs, run):
     outs, _ = small_runs
-    out = outs[experiment]
+    out = outs[run]
     digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name != "manifest.json"
     }
-    assert digests == SMALL_RUN_DIGESTS[experiment]
+    assert digests == SMALL_RUN_DIGESTS[run]
 
 
 def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path, capsys):
     # a replicate that raises ends the run: exit 3, and no outputs
     shorth = EXPERIMENTS["shorth"]
 
-    def run(params, master_seed, n, r):
-        if (n, r) == (800, 7):
+    def run(params, master_seed, n, replicates):
+        if n == 800 and 7 in replicates:
             raise DesignError("hit the box")
-        return shorth.run_replicate(params, master_seed, n, r)
+        return shorth.run_replicates(params, master_seed, n, replicates)
 
-    monkeypatch.setitem(EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicate=run))
+    monkeypatch.setitem(EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicates=run))
     out = tmp_path / "shorth"
     argv = [
         "simulate", "--experiment", "shorth", "--n-values", "100,200,400,800",
@@ -443,9 +486,13 @@ def test_failed_replicate_left_out_of_plots_and_ks(monkeypatch, tmp_path, capsys
     assert not (out / "records.csv").exists()
 
 
-def _run_toy_replicate(params, master_seed, n, r):
-    stream = SeedStream(master_seed, r * 100_000 + n)
-    return [LadderRecord("toy", n, r, "mean", float(stream.generator().standard_normal(n).mean()))]
+def _run_toy_replicates(params, master_seed, n, replicates):
+    records = []
+    for r in replicates:
+        stream = SeedStream(master_seed, r * 100_000 + n)
+        mean = float(stream.generator().standard_normal(n).mean())
+        records.append(LadderRecord("toy", n, r, "mean", mean))
+    return records
 
 
 def _toy_law(params, master_seed, n, draws):
@@ -458,7 +505,7 @@ def test_experiment_registered_only_in_the_registry_runs_end_to_end(
     # the sample mean of n standard normals: error rate n^(-1/2), limit N(0, 1)
     toy = Experiment(
         rates={"mean": Fraction(1, 2)},
-        run_replicate=_run_toy_replicate,
+        run_replicates=_run_toy_replicates,
         laws={"mean": _toy_law},
     )
     monkeypatch.setitem(EXPERIMENTS, "toy", toy)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,13 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from mixedrates import harness
-from mixedrates.estimators import DesignError
+from mixedrates.estimators import (
+    DesignError,
+    LassoConfig,
+    fit_bridge_lasso,
+    generate_lasso_design,
+    lasso,
+)
 from mixedrates.harness import (
     EXPERIMENTS,
     LadderConfig,
@@ -138,13 +145,13 @@ class TestReplicateFailures:
         """Make the shorth runner raise ``exc`` on the replicates ``failing``."""
         shorth = EXPERIMENTS["shorth"]
 
-        def run(params, master_seed, n, r):
-            if r in failing:
+        def run(params, master_seed, n, replicates):
+            if failing.intersection(replicates):
                 raise exc
-            return shorth.run_replicate(params, master_seed, n, r)
+            return shorth.run_replicates(params, master_seed, n, replicates)
 
         monkeypatch.setitem(
-            EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicate=run)
+            EXPERIMENTS, "shorth", dataclasses.replace(shorth, run_replicates=run)
         )
 
     def test_programming_error_aborts_run(self, monkeypatch):
@@ -157,6 +164,117 @@ class TestReplicateFailures:
         self._fail(monkeypatch, DesignError("hit the box"), {7})
         with pytest.raises(DesignError, match="hit the box"):
             run_cells("shorth", [100, 200], 50, 5, workers=workers)
+
+
+def _lasso_records_one_instance(params, master_seed, n, r):
+    """One lasso replicate fitted alone: its design by ``generate_lasso_design``,
+    then ``LassoConfig`` and ``fit_bridge_lasso``; the reference for the
+    runner's stacked blocks."""
+    d = params["d"]
+    beta = np.eye(d)[0]
+    stream = harness._lasso_design_stream(master_seed, n, r, params["design_mode"])
+    X = generate_lasso_design(n, d, stream)
+    noise = harness._replicate_stream(master_seed, "lasso", n, r, "noise").generator()
+    y = X @ beta + params["sigma"] * noise.standard_normal(n)
+    cfg = LassoConfig(
+        X, beta, gamma=params["gamma"], lambda0=params["lambda0"], sigma=params["sigma"]
+    )
+    fit = fit_bridge_lasso(y, cfg)
+    return [
+        LadderRecord("lasso", n, r, comp, float(fit.alpha_hat[j] - beta[j]), bool(flag))
+        for j, (comp, flag) in enumerate(zip(("alpha1", "alpha2"), fit.zero_flags))
+    ]
+
+
+class TestReplicateBlocks:
+    """``run_cells`` hands the runners blocks of replicates; no record depends
+    on the blocks."""
+
+    @pytest.mark.parametrize(
+        "experiment, params, n_values",
+        [
+            ("shorth", {}, [100, 200]),
+            ("kmeans", {}, [500, 1000]),
+            ("lasso", {}, [300, 2000]),
+            ("lasso", {"gamma": 1.0}, [300, 2000]),
+            ("lasso", {"d": 3}, [300, 2000]),
+            ("lasso", {"d": 3, "gamma": 1.0}, [300, 2000]),
+            ("lasso", {"design_mode": "fixed"}, [300, 2000]),
+        ],
+        ids=[
+            "shorth", "kmeans", "lasso", "lasso-gamma1", "lasso-d3", "lasso-d3-gamma1",
+            "lasso-fixed",
+        ],
+    )
+    def test_records_equal_those_of_blocks_of_one(self, experiment, params, n_values):
+        # 70 replicates a rung: one block a rung at one worker (lasso cuts
+        # it into 27, 27, 16 at n = 300 and 17 x 4 + 2 at n = 2000), blocks
+        # of 4 and 2 at two workers
+        exp = EXPERIMENTS[experiment]
+        merged = exp.resolve(params)
+        ones = [
+            rec
+            for n in n_values
+            for r in range(70)
+            for rec in exp.run_replicates(merged, 5, n, range(r, r + 1))
+        ]
+        for workers in (1, 2):
+            assert repr(run_cells(experiment, n_values, 70, 5, params, workers)) == repr(ones)
+
+    @pytest.mark.parametrize(
+        "params", [{}, {"gamma": 1.0}, {"d": 3, "gamma": 1.0}, {"design_mode": "fixed"}]
+    )
+    def test_lasso_records_equal_one_instance_fits(self, params):
+        merged = EXPERIMENTS["lasso"].resolve(params)
+        recs = run_cells("lasso", [8, 40, 2000], 20, 11, params)
+        alone = [
+            rec
+            for n in (8, 40, 2000)
+            for r in range(20)
+            for rec in _lasso_records_one_instance(merged, 11, n, r)
+        ]
+        assert repr(recs) == repr(alone)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_design_is_redrawn_as_generate_lasso_design_draws_it(
+        self, monkeypatch, workers
+    ):
+        # at n = 6 a threshold of 0.05 on the smallest eigenvalue of X'X/n
+        # rejects the first draw of 5 of these 50 replicates and none 4 times
+        monkeypatch.setattr(lasso, "_MIN_EIGENVALUE", 0.05)
+        rejected = 0
+        for r in range(50):
+            X = harness._lasso_design_stream(12, 6, r, "fresh").generator().uniform(
+                -1.0, 1.0, size=(6, 2)
+            )
+            X -= X.mean(axis=0)
+            rejected += np.linalg.eigvalsh(X.T @ X / 6)[0] <= 0.05
+        assert rejected == 5
+        merged = EXPERIMENTS["lasso"].resolve(None)
+        alone = [rec for r in range(50) for rec in _lasso_records_one_instance(merged, 12, 6, r)]
+        assert repr(run_cells("lasso", [6], 50, 12, workers=workers)) == repr(alone)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_four_rejected_draws_end_the_run(self, monkeypatch, workers):
+        monkeypatch.setattr(lasso, "_MIN_EIGENVALUE", math.inf)
+        with pytest.raises(DesignError, match="4 attempts"):
+            run_cells("lasso", [60, 120], 50, 1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_replicates_give_no_records(self, workers):
+        assert run_cells("shorth", [100, 200], 0, 5, workers=workers) == []
+
+    def test_lasso_rung_at_the_top_of_the_ladder_peaks_under_one_mib(self):
+        # the runner fits n = 2000 in blocks of 4 replicates (0.41 MiB); the
+        # whole rung as one block peaks at 7.7 MiB
+        run_cells("lasso", [2000], 4, 1729)  # first calls allocate caches
+        tracemalloc.start()
+        try:
+            run_cells("lasso", [2000], 125, 1729)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCompareWithLimit:

@@ -6,9 +6,13 @@ import pytest
 from mixedrates import harness
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import (
+    DesignError,
     LassoConfig,
     fit_bridge_lasso,
+    fit_bridge_lasso_block,
     generate_lasso_design,
+    generate_lasso_designs,
+    lasso,
     minimizer_box,
 )
 from mixedrates.estimators.lasso import (
@@ -100,6 +104,34 @@ class TestDesign:
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             generate_lasso_design(2, 2, SeedStream(10, 3))
+
+    def test_stacked_draws_follow_the_one_design_rule(self, monkeypatch):
+        # At n = 6 a threshold of 0.1 on the smallest eigenvalue of X'X/n
+        # rejects many first draws.  Each design of the stack, and its X'X,
+        # is the one the rule gives its own stream: draw, center, check, and
+        # redraw on the next stream index, at most 4 attempts.
+        monkeypatch.setattr(lasso, "_MIN_EIGENVALUE", 0.1)
+
+        def one_by_one(stream):
+            for attempt in range(4):
+                gen = SeedStream(stream.master_seed, stream.stream_index + attempt).generator()
+                X = gen.uniform(-1.0, 1.0, size=(6, 2))
+                X -= X.mean(axis=0)
+                if np.linalg.eigvalsh(X.T @ X / 6)[0] > 0.1:
+                    return X, attempt
+            return None, 4
+
+        drawn = [(s, *one_by_one(s)) for s in (SeedStream(7, 100 + i) for i in range(60))]
+        assert sorted({attempt for *_, attempt in drawn}) == [0, 1, 2, 3, 4]
+        kept = [(s, ref) for s, ref, attempt in drawn if attempt < 4]
+        X, xtx = generate_lasso_designs(6, 2, [s for s, _ in kept])
+        for i, (s, ref) in enumerate(kept):
+            assert np.array_equal(X[i], ref)
+            assert np.array_equal(xtx[i], ref.T @ ref)
+            assert np.array_equal(generate_lasso_design(6, 2, s), ref)
+        failing = next(s for s, _, attempt in drawn if attempt == 4)
+        with pytest.raises(DesignError, match="4 attempts"):
+            generate_lasso_designs(6, 2, [s for s, _ in kept[:5]] + [failing])
 
 
 class TestBridgeLassoSolver:
@@ -563,6 +595,37 @@ class TestSearch:
                     best = min(best, float(vals.min()))
                 assert fit.criterion_value <= best + 1e-12 * abs(best)
         assert seen[True] >= 8, seen
+
+
+def as_tuple(fit):
+    """A fit's point, zero flags and value, whose repr is exact."""
+    return fit.alpha_hat.tolist(), fit.zero_flags.tolist(), fit.criterion_value
+
+
+class TestBlockFit:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_instance_of_a_block_fits_as_it_does_alone(self, d, gamma):
+        # n = 8, truth (6, -3, 2) or (1, 0, 0): the screen leaves none, one
+        # or several coordinates free, so the block covers every search case
+        n, lambda0 = 8, 2.0
+        streams = [SeedStream(1729, 4000 + r) for r in range(40)]
+        X, xtx = generate_lasso_designs(n, d, streams)
+        betas = [np.array([6.0, -3.0, 2.0][:d]) if r % 2 else np.eye(d)[0] for r in range(40)]
+        y = np.stack(
+            [
+                X[r] @ beta + s.child("y").generator().standard_normal(n)
+                for r, (s, beta) in enumerate(zip(streams, betas))
+            ]
+        )
+        fits = fit_bridge_lasso_block(X, y, xtx, lambda0 * math.sqrt(n), gamma)
+        nonzero = set()
+        for r, fit in enumerate(fits):
+            cfg = LassoConfig(X[r], betas[r], gamma=gamma, lambda0=lambda0)
+            alone = fit_bridge_lasso(y[r], cfg)
+            assert repr(as_tuple(fit)) == repr(as_tuple(alone))
+            nonzero.add(int(np.count_nonzero(alone.alpha_hat)))
+        assert {0, 1}.issubset(nonzero) and max(nonzero) >= 2, nonzero
 
 
 class TestDimensionCap:
