@@ -336,7 +336,9 @@ def _limit_rows(args, stream):
         draws = sample_chernoff_argmax(cfg, stream)
         return [("index", "t")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     if args.law == "lasso-first":
-        draws = sample_lasso_limits(args.c11, args.lambda0, args.sigma, stream, args.draws)
+        # --c11, --lambda0 and --sigma set the law; gamma stays the lasso default
+        gamma = EXPERIMENTS["lasso"].defaults["gamma"]
+        draws = sample_lasso_limits(args.c11, args.lambda0, gamma, args.sigma, stream, args.draws)
         return [("index", "u")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     # --law kmeans, the last of the parser's choices
     draws = sample_kmeans_limit(stream, args.draws)

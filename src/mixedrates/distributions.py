@@ -61,20 +61,26 @@ class SeedStream:
         return SeedStream(self.master_seed, derive_stream_index(self.stream_index, *parts))
 
 
-def sample_two_line(n: int, stream: SeedStream) -> np.ndarray:
+def sample_two_line(n: int, stream: SeedStream, x_column: int = 0) -> np.ndarray:
     """``n`` points (x, y) with x = +/-1 equiprobable and, independently,
     y standard double exponential: the planar law concentrated on two parallel
     lines whose two optimal 2-means configurations tie exactly.
 
-    Returns an (n, 2) array.
+    Returns an (n, 2) array with x in column ``x_column`` and y in the
+    other; the draws do not depend on the layout.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = stream.generator()
-    x = (gen.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
-    signs = gen.integers(0, 2, size=n) * 2 - 1
-    y = signs * gen.standard_exponential(size=n, method="inv")
-    return np.column_stack([x, y])
+    pts = np.empty((n, 2))
+    x, y = pts[:, x_column], pts[:, 1 - x_column]
+    # both columns first hold +/-1: x, then the sign of y
+    for col in (x, y):
+        col[:] = gen.integers(0, 2, size=n)
+        col *= 2.0
+        col -= 1.0
+    y *= gen.standard_exponential(size=n, method="inv")
+    return pts
 
 
 @dataclass(frozen=True)

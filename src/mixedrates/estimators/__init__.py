@@ -23,6 +23,7 @@ from .kmeans import (
     INIT_CENTERS,
     KmeansCoords,
     KmeansGlobalResult,
+    KmeansWorkspace,
     assign_clusters,
     centers_from_coords,
     fit_kmeans2,
@@ -49,6 +50,7 @@ __all__ = [
     "INIT_CENTERS",
     "KmeansCoords",
     "KmeansGlobalResult",
+    "KmeansWorkspace",
     "assign_clusters",
     "centers_from_coords",
     "fit_kmeans2",

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "KmeansCoords",
     "KmeansGlobalResult",
+    "KmeansWorkspace",
     "INIT_CENTERS",
     "assign_clusters",
     "update_centers",
@@ -54,6 +55,14 @@ class KmeansCoords:
     left_neighborhood: bool = False
 
 
+def _discriminate(points: np.ndarray, centers: np.ndarray, proj: np.ndarray, out: np.ndarray):
+    """Nearest-center labels as bools in ``out``, with ``proj`` holding the
+    projections; see ``assign_clusters``."""
+    c0, c1 = centers
+    np.matmul(points, c1 - c0, out=proj)
+    return np.greater(proj, 0.5 * (c1 @ c1 - c0 @ c0), out=out)
+
+
 def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels in {0, 1}; squared-distance ties go to center 1
     (index 0).
@@ -62,22 +71,12 @@ def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     p . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so labelling is one
     matrix-vector product.
     """
-    c0, c1 = centers
-    return (points @ (c1 - c0) > 0.5 * (c1 @ c1 - c0 @ c0)).astype(np.int8)
+    n = len(points)
+    return _discriminate(points, centers, np.empty(n), np.empty(n, dtype=bool)).astype(np.int8)
 
 
-def update_centers(
-    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, total: np.ndarray
-):
-    """Cluster means; an emptied cluster is re-seeded at the point farthest
-    from the other center.  Returns (new_centers, repaired_flag).
-
-    Cluster 1's sum is ``labels @ points`` and cluster 0's is the sample
-    total ``total`` (``np.ones(n) @ points``) minus it, so no masked copy of
-    the points is made.
-    """
-    count1 = np.count_nonzero(labels)
-    sum1 = labels @ points
+def _cluster_means(points, count1: int, sum1, centers: np.ndarray, total):
+    """``update_centers`` from cluster 1's count and sum."""
     counts = (len(points) - count1, count1)
     sums = (total - sum1, sum1)
     new = centers.copy()
@@ -93,6 +92,19 @@ def update_centers(
     return new, repaired
 
 
+def update_centers(
+    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, total: np.ndarray
+):
+    """Cluster means; an emptied cluster is re-seeded at the point farthest
+    from the other center.  Returns (new_centers, repaired_flag).
+
+    Cluster 1's sum is ``labels @ points`` and cluster 0's is the sample
+    total ``total`` (``np.ones(n) @ points``) minus it, so no masked copy of
+    the points is made.
+    """
+    return _cluster_means(points, np.count_nonzero(labels), labels @ points, centers, total)
+
+
 def within_ss(points: np.ndarray, centers: np.ndarray) -> float:
     """Mean squared distance to the nearest center (the k-means criterion)."""
     d0 = np.sum((points - centers[0]) ** 2, axis=1)
@@ -100,68 +112,136 @@ def within_ss(points: np.ndarray, centers: np.ndarray) -> float:
     return float(np.minimum(d0, d1).mean())
 
 
-def _lloyd(points: np.ndarray, init: str):
+class KmeansWorkspace:
+    """The per-point buffers of ``fit_kmeans2``, reused from fit to fit so
+    that no Lloyd step or transfer pass allocates an array of the sample's
+    length.
+
+    A workspace grows to the largest sample it is given and fits a smaller
+    one in the leading part of each buffer.  Loading a sample overwrites the
+    one loaded before it, so a workspace serves one fit at a time.
+    """
+
+    def __init__(self):
+        # one row per buffer that ``_Sample`` names
+        self._floats = np.empty((9, 0))
+        self._bools = np.empty((4, 0), dtype=bool)
+
+    def load(self, sample) -> "_Sample":
+        """Validate ``sample`` and do the work both starts share."""
+        points = np.asarray(sample, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError("sample must be an (n, 2) array of planar points")
+        n = points.shape[0]
+        if n < 4:
+            raise ValueError("need at least four points")
+        if not np.isfinite(points).all():
+            raise ValueError("sample contains non-finite values")
+        if n > self._floats.shape[1]:
+            self._floats = np.empty((len(self._floats), n))
+            self._bools = np.empty((len(self._bools), n), dtype=bool)
+        return _Sample(points, self._floats[:, :n], self._bools[:, :n])
+
+
+class _Sample:
+    """A validated sample, the sums that both starts share and the
+    workspace buffers of its length.
+
+    Lloyd takes both cluster sums from the sample total and ``weights @
+    points``, with ``weights`` the float copy of the labels.  The transfers
+    work on the columns ``x`` and ``y`` taken about the sample mean
+    ``shift``, so the rounding of the squared distances stays far below the
+    floor wherever the sample lies.
+    """
+
+    def __init__(self, points: np.ndarray, floats: np.ndarray, bools: np.ndarray):
+        self.points = points
+        (self.x, self.y, self.proj, self.weights, self.d0, self.d1,
+         self.gain0, self.gain1, self.floor) = floats
+        self.labels, self.next_labels, self.mask0, self.mask1 = bools
+        self.weights.fill(1.0)
+        self.total = self.weights @ points
+        # column by column: reductions along axis 0 of an (n, 2) array are
+        # about ten times slower
+        self.shift = np.array([points[:, 0].mean(), points[:, 1].mean()])
+        np.subtract(points[:, 0], self.shift[0], out=self.x)
+        np.subtract(points[:, 1], self.shift[1], out=self.y)
+        self.xy_total = (float(self.x.sum()), float(self.y.sum()))
+
+
+def _lloyd(data: _Sample, init: str):
     """Lloyd iteration from the ``init`` starting pair until the assignments
     repeat or for at most 200 steps.  Returns (labels, centers,
-    repaired_flag); at a repeat the centers are the means of ``labels``."""
+    repaired_flag), the labels as one of the sample's bool buffers; at a
+    repeat the centers are the means of ``labels``."""
+    points = data.points
     centers = INIT_CENTERS[init].copy()
-    labels = assign_clusters(points, centers)
-    total = np.ones(len(points)) @ points
+    labels = _discriminate(points, centers, data.proj, data.labels)
+    new_labels = data.next_labels
     repaired = False
     for _ in range(200):
-        centers, rep = update_centers(points, labels, centers, total)
+        np.copyto(data.weights, labels)
+        centers, rep = _cluster_means(
+            points, np.count_nonzero(labels), data.weights @ points, centers, data.total
+        )
         repaired = repaired or rep
-        new_labels = assign_clusters(points, centers)
-        if np.array_equal(new_labels, labels):
+        _discriminate(points, centers, data.proj, new_labels)
+        if not np.not_equal(new_labels, labels, out=data.mask0).any():
             break
-        labels = new_labels
+        labels, new_labels = new_labels, labels
     return labels, centers, repaired
 
 
-def _gain(d_own, d_other, n_own: int, n_other: int):
+def _gain(d_own, d_other, n_own: int, n_other: int, out=None, scratch=None):
     """Drop in the within-cluster sum of squares when a point at squared
     distances ``d_own`` and ``d_other`` from the means of its cluster (size
     ``n_own``) and of the other (size ``n_other``) changes sides.  The only
-    member of a cluster may not leave: its gain is never positive."""
+    member of a cluster may not leave: its gain is never positive.  For
+    arrays the gain is written to ``out``, with ``scratch`` as a buffer."""
     leave = n_own / (n_own - 1) if n_own > 1 else 0.0
-    return leave * d_own - n_other / (n_other + 1) * d_other
+    join = n_other / (n_other + 1)
+    if out is None:
+        return leave * d_own - join * d_other
+    np.multiply(d_own, leave, out=out)
+    np.multiply(d_other, join, out=scratch)
+    return np.subtract(out, scratch, out=out)
 
 
-def _transfers(points: np.ndarray, labels: np.ndarray):
-    """Hartigan's single-point transfers from the partition ``labels``, by
-    the rule stated in ``fit_kmeans2``.  Returns (labels, centers, criterion
-    value), read from the last pass, which moves nothing.  A cluster stays
-    empty only if every point lies at the sample mean, which is then its
-    center.  The points are taken about the sample mean, so the rounding of
-    the squared distances stays far below the floor wherever the sample
-    lies.
+def _transfers(data: _Sample, labels: np.ndarray):
+    """Hartigan's single-point transfers from the partition ``labels``, a
+    bool array that they change in place, by the rule stated in
+    ``fit_kmeans2``.  Returns (labels, centers, criterion value), read from
+    the last pass, which moves nothing.  A cluster stays empty only if every
+    point lies at the sample mean, which is then its center.
     """
-    # column by column: reductions along axis 0 of an (n, 2) array are
-    # about ten times slower
-    shift = np.array([points[:, 0].mean(), points[:, 1].mean()])
-    x, y = points[:, 0] - shift[0], points[:, 1] - shift[1]
+    x, y, d0, d1, gain0, gain1, floor = (
+        data.x, data.y, data.d0, data.d1, data.gain0, data.gain1, data.floor
+    )
+    up0, up1 = data.mask0, data.mask1
     n = len(x)
-    labels = labels.astype(bool)
-    total = (float(x.sum()), float(y.sum()))
+    total = data.xy_total
     while True:
         # einsum rather than a BLAS dot: OpenBLAS spreads long dot products
         # over threads, and waking them costs more than these sums
-        w = labels.astype(np.float64)
-        sum1 = [float(np.einsum("i,i->", w, v)) for v in (x, y)]
+        np.copyto(data.weights, labels)
+        sum1 = [float(np.einsum("i,i->", data.weights, v)) for v in (x, y)]
         count1 = int(np.count_nonzero(labels))
         count = [n - count1, count1]
         sums = [[t - s for t, s in zip(total, sum1)], sum1]
         means = [[s / max(c, 1) for s in sj] for sj, c in zip(sums, count)]
-        d0, d1 = ((x - mx) ** 2 + (y - my) ** 2 for mx, my in means)
-        gain0 = _gain(d0, d1, count[0], count[1])
-        gain1 = _gain(d1, d0, count[1], count[0])
-        floor = 1e-12 * (d0 + d1)
+        for d, (mx, my) in zip((d0, d1), means):
+            # d = (x - mx)^2 + (y - my)^2, with gain0 as scratch
+            np.square(np.subtract(x, mx, out=d), out=d)
+            d += np.square(np.subtract(y, my, out=gain0), out=gain0)
+        _gain(d0, d1, count[0], count[1], out=gain0, scratch=floor)
+        _gain(d1, d0, count[1], count[0], out=gain1, scratch=floor)
+        np.multiply(np.add(d0, d1, out=floor), 1e-12, out=floor)
         # masks rather than np.where, which branches on every point's label
-        up0 = gain0 > floor
-        up0 &= ~labels
-        up1 = gain1 > floor
+        np.greater(gain0, floor, out=up0)
+        up0 &= np.logical_not(labels, out=up1)
+        np.greater(gain1, floor, out=up1)
         up1 &= labels
-        cand = np.flatnonzero(up0 | up1)
+        cand = np.flatnonzero(np.logical_or(up0, up1, out=up0))
         gain = np.where(labels[cand], gain1[cand], gain0[cand])
         moved = False
         for i in cand[np.argsort(-gain, kind="stable")].tolist():
@@ -182,7 +262,7 @@ def _transfers(points: np.ndarray, labels: np.ndarray):
             moved = True
         if not moved:
             break
-    return labels, np.array(means) + shift, float(np.minimum(d0, d1).mean())
+    return labels, np.array(means) + data.shift, float(np.minimum(d0, d1, out=gain0).mean())
 
 
 def _order_centers(centers: np.ndarray, init: str) -> np.ndarray:
@@ -233,21 +313,21 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
 
     Lloyd iteration runs first, until the assignments repeat or for 200
     steps.  Each step labels the points by the linear discriminant
-    p . (c1 - c0) > (|c1|^2 - |c0|^2)/2 (``assign_clusters``) and takes
-    both cluster sums from one product labels @ points and the sample total
-    (``update_centers``).  Hartigan's single-point transfers (Hartigan and
-    Wong 1979, AS 136) then start from Lloyd's partition (``_transfers``).
-    Moving p from cluster A to cluster B lowers the sum of squares by
-    n_A/(n_A-1) |p - m_A|^2 - n_B/(n_B+1) |p - m_B|^2.  A pass evaluates
-    that gain for every point at once and moves, largest first, the points
-    whose gain, re-checked on running sums, exceeds the rounding floor
-    1e-12 (|p - m_A|^2 + |p - m_B|^2) without emptying A.  The search stops
-    after a pass that moves nothing.  It terminates because each move lowers
-    the sum of squares strictly and there are finitely many partitions.  At
-    the stop no single transfer improves the criterion, so the partition is
-    also a Lloyd fixed point (Telgarsky and Vattani 2010): each point is
-    nearest its own cluster's mean, and the centers are the means of their
-    Voronoi cells.
+    p . (c1 - c0) > (|c1|^2 - |c0|^2)/2 (as ``assign_clusters`` does) and
+    takes both cluster sums from one product labels @ points and the sample
+    total (as ``update_centers`` does).  Hartigan's single-point transfers
+    (Hartigan and Wong 1979, AS 136) then start from Lloyd's partition
+    (``_transfers``).  Moving p from cluster A to cluster B lowers the sum
+    of squares by n_A/(n_A-1) |p - m_A|^2 - n_B/(n_B+1) |p - m_B|^2.  A pass
+    evaluates that gain for every point at once and moves, largest first,
+    the points whose gain, re-checked on running sums, exceeds the rounding
+    floor 1e-12 (|p - m_A|^2 + |p - m_B|^2) without emptying A.  The search
+    stops after a pass that moves nothing.  It terminates because each move
+    lowers the sum of squares strictly and there are finitely many
+    partitions.  At the stop no single transfer improves the criterion, so
+    the partition is also a Lloyd fixed point (Telgarsky and Vattani 2010):
+    each point is nearest its own cluster's mean, and the centers are the
+    means of their Voronoi cells.
 
     On the 600 fits of the seed-1729 n = 1000...16000 ladder (300 samples,
     both starts) a fit takes 2.4 passes and 4.1 transfers on average, and at
@@ -257,23 +337,33 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
     passes a fit, their early passes move hundreds of points one by one, and
     they take about 2.8 times as long.
 
+    The per-point arrays of every step and pass live in a
+    :class:`KmeansWorkspace` and are filled in place by ``out=`` ufuncs, so
+    no Lloyd step or transfer pass allocates an array of the sample's
+    length (an empty-cluster repair aside).  Loading a sample into the
+    workspace validates it and computes what both starts share: the sample
+    total that Lloyd's cluster sums start from, and the columns about the
+    sample mean that the transfers work on.  ``fit_kmeans2_global`` loads
+    each sample once for both starts, and the ``kmeans`` runner keeps one
+    workspace for a block of replicates.  Every formula keeps its operands
+    and its kernel: the projections ``points @ (c1 - c0)`` and the cluster
+    sums ``labels @ points`` stay BLAS matrix-vector products, the latter
+    with the labels as float64.  So a fit is bit for bit the same in any
+    workspace; at n = 16000 the buffers take about 1.2 MB.
+
     A fit that wanders more than Hausdorff distance 1/2 from its start is
     flagged but still returned.  Non-finite points are rejected with
     ``ValueError``.
     """
-    points = np.asarray(sample, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("sample must be an (n, 2) array of planar points")
-    n = points.shape[0]
-    if n < 4:
-        raise ValueError("need at least four points")
-    if not np.isfinite(points).all():
-        raise ValueError("sample contains non-finite values")
+    data = KmeansWorkspace().load(sample)
     if init not in INIT_CENTERS:
         raise ValueError(f"init must be 'cv' or 'ch', got {init!r}")
+    return _fit(data, init)
 
-    labels, _, repaired = _lloyd(points, init)
-    _, centers, w = _transfers(points, labels)
+
+def _fit(data: _Sample, init: str) -> KmeansCoords:
+    labels, _, repaired = _lloyd(data, init)
+    _, centers, w = _transfers(data, labels)
     centers = _order_centers(centers, init)
     delta_s, eps_d, delta_d, eps_s = _coords_from_centers(centers, init)
     left = _hausdorff(centers, INIT_CENTERS[init]) > 0.5
@@ -298,11 +388,16 @@ class KmeansGlobalResult:
     coords_ch: KmeansCoords
 
 
-def fit_kmeans2_global(sample: np.ndarray) -> KmeansGlobalResult:
+def fit_kmeans2_global(
+    sample: np.ndarray, *, workspace: KmeansWorkspace | None = None
+) -> KmeansGlobalResult:
     """Fit from both starts and pick the lower criterion value; exact ties go
-    to the cv start and are recorded."""
-    cv = fit_kmeans2(sample, "cv")
-    ch = fit_kmeans2(sample, "ch")
+    to the cv start and are recorded.  The sample is validated and loaded
+    once for both fits, into ``workspace`` or, without one, a fresh
+    workspace."""
+    data = (KmeansWorkspace() if workspace is None else workspace).load(sample)
+    cv = _fit(data, "cv")
+    ch = _fit(data, "ch")
     tie = cv.w_value == ch.w_value
     choice = "cv" if cv.w_value <= ch.w_value else "ch"
     return KmeansGlobalResult(choice=choice, tie=tie, coords_cv=cv, coords_ch=ch)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .distributions import SeedStream, derive_stream_index
 from .estimators import (
+    KmeansWorkspace,
     check_bridge_params,
     fit_bridge_lasso_block,
     fit_kmeans2_global,
@@ -172,10 +173,12 @@ def _run_shorth_replicates(
 def _run_kmeans_replicates(
     params, master_seed: int, n: int, replicates: range
 ) -> list[LadderRecord]:
+    # one workspace for the block's fits, freed when the block ends
+    workspace = KmeansWorkspace()
     records = []
     for r in replicates:
         pts = kmeans_two_line_sample(n, _replicate_stream(master_seed, "kmeans", n, r, "data"))
-        res = fit_kmeans2_global(pts)
+        res = fit_kmeans2_global(pts, workspace=workspace)
         cv = res.coords_cv
         diags = []
         if cv.empty_repair:
@@ -218,7 +221,12 @@ def _check_lasso_params(params: Mapping[str, object]) -> None:
 def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
     # C11 = 1/3 is the design curvature of centered Uniform[-1, 1] columns
     return sample_lasso_limits(
-        1.0 / 3.0, params["lambda0"], params["sigma"], SeedStream(master_seed, 12345), draws
+        1.0 / 3.0,
+        params["lambda0"],
+        params["gamma"],
+        params["sigma"],
+        SeedStream(master_seed, 12345),
+        draws,
     )
 
 

@@ -197,19 +197,22 @@ def sample_shorth_r_limit(
 
 
 def sample_lasso_limits(
-    C11: float, lambda0: float, sigma: float, stream: SeedStream, draws: int
+    C11: float, lambda0: float, gamma: float, sigma: float, stream: SeedStream, draws: int
 ) -> np.ndarray:
     """Draws from the Gaussian limit of sqrt(n) times the first-coefficient
-    error: N(-lambda0/(4*C11), sigma^2/C11).
+    error: N(-lambda0*gamma/(2*C11), sigma^2/C11).
 
-    The mean is the penalty-induced shrinkage bias (the minimizer of
-    u^2*C11 - 2*u*Z + (lambda0/2)*u with Z ~ N(0, sigma^2*C11)); with
-    lambda0 = 0 this is the plain least-squares limit.
+    The bridge penalty lambda0*sqrt(n)*(|1 + u/sqrt(n)|^gamma - 1) on the
+    nonzero coordinate tends to lambda0*gamma*u (Knight and Fu 2000, Thms 2
+    and 3), so the limit is the minimizer of
+    u^2*C11 - 2*u*Z + lambda0*gamma*u with Z ~ N(0, sigma^2*C11); the mean
+    is the penalty-induced shrinkage bias, and lambda0 = 0 gives the plain
+    least-squares limit.
     """
     if not C11 > 0:
         raise ValueError("C11 must be positive")
     gen = stream.generator()
-    return gen.normal(-lambda0 / (4.0 * C11), sigma / math.sqrt(C11), size=draws)
+    return gen.normal(-lambda0 * gamma / (2.0 * C11), sigma / math.sqrt(C11), size=draws)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +234,7 @@ def kmeans_two_line_sample(n: int, stream: SeedStream) -> np.ndarray:
     horizontal (second coordinate +/-1), double-exponential coordinate along
     each line.  In this orientation the cv center pair straddles the support
     and its split line crosses both lines transversally."""
-    pts = sample_two_line(n, stream)
-    return pts[:, ::-1].copy()
+    return sample_two_line(n, stream, x_column=1)
 
 
 def kmeans_scores(points: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from scipy.stats import kstwobign
 from mixedrates import acceptance as acc
 from mixedrates.distributions import CovMatrix, SeedStream
 from mixedrates.estimators import shorth_population
-from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit
+from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit, run_cells
 from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
@@ -155,6 +155,37 @@ def test_law_check_rejects_a_rescale_off_by_one_twelfth(
     res = report(check(acc.QUICK, SEED, WORKERS))
     assert res.measured[key] > tol, res.detail
     assert not res.passed, res.detail
+
+
+def gamma_blind_lasso_law(params, master_seed, n, draws):
+    """The alpha1 law as once drawn at every gamma: N(-lambda0/(4 C11),
+    sigma^2/C11), right only at gamma = 1/2."""
+    C11 = 1.0 / 3.0
+    mean, sd = -params["lambda0"] / (4.0 * C11), params["sigma"] / math.sqrt(C11)
+    return SeedStream(master_seed, 12345).generator().normal(mean, sd, draws)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.0])
+def test_lasso_law_follows_gamma(monkeypatch, gamma):
+    # the bridge penalty's limit slope on the nonzero coordinate is
+    # lambda0*gamma, so the alpha1 law has mean -lambda0*gamma/(2 C11).  The
+    # gamma-blind law's population KS distance to it is 0.171 at gamma = 1/4
+    # and 0.335 at gamma = 1.  With 800 fits against 8000 draws the
+    # two-sample null's 99.9th percentile is about 0.072.
+    n, R, draws, tol = 2000, 800, 8000, acc.FULL.lasso_ks_tol
+    params = {"gamma": gamma}
+    recs = run_cells("lasso", [n], R, SEED + 1, params, WORKERS)
+    new = compare_with_limit("lasso", recs, "alpha1", n, SEED, draws, params)
+    monkeypatch.setitem(EXPERIMENTS["lasso"].laws, "alpha1", gamma_blind_lasso_law)
+    old = compare_with_limit("lasso", recs, "alpha1", n, SEED, draws, params)
+    assert new.ks <= tol < old.ks, (new.ks, old.ks)
+
+
+def test_lasso_law_at_the_defaults_is_unchanged():
+    # at gamma = 1/2 both means evaluate to exactly -1.5
+    defaults = EXPERIMENTS["lasso"].defaults
+    law = EXPERIMENTS["lasso"].laws["alpha1"](defaults, SEED, 2000, 5000)
+    assert np.array_equal(law, gamma_blind_lasso_law(defaults, SEED, 2000, 5000))
 
 
 @pytest.fixture(scope="module")

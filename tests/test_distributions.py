@@ -11,7 +11,7 @@ from mixedrates.distributions import (
     sample_gaussian_vector,
     sample_two_line,
 )
-from mixedrates.limits import _validate_grid
+from mixedrates.limits import _validate_grid, kmeans_two_line_sample
 
 S = SeedStream(20240611, 0)
 
@@ -44,6 +44,16 @@ class TestSeedStream:
     def test_rejects_non_integer_seed(self):
         with pytest.raises(TypeError):
             SeedStream(1.5, 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known fault: the Philox key is built from a Python list, which numpy "
+        "turns into float64 when it holds an integer >= 2^63, dropping the low 11 bits; "
+        "mending it moves every record drawn from such a stream",
+    )
+    def test_philox_key_keeps_a_high_stream_index_exactly(self):
+        key = SeedStream(1, 0xEBC3A32FB68DA9A3).generator().bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [1, 0xEBC3A32FB68DA9A3]
 
 
 class TestLaplace:
@@ -81,6 +91,19 @@ class TestTwoLine:
         w_between = 1.0 + np.mean((np.abs(pts[:, 1]) - 1.0) ** 2)
         assert abs(w_on_lines - 2.0) < 0.05
         assert abs(w_between - 2.0) < 0.05
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 16001])
+    def test_layouts_match_the_column_stack_construction(self, n):
+        # the construction the sampler replaced, kept as the reference: the
+        # draws and their order are unchanged in either layout
+        stream = SeedStream(4, n)
+        gen = stream.generator()
+        x = (gen.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
+        signs = gen.integers(0, 2, size=n) * 2 - 1
+        y = signs * gen.standard_exponential(size=n, method="inv")
+        want = np.column_stack([x, y])
+        assert sample_two_line(n, stream).tobytes() == want.tobytes()
+        assert kmeans_two_line_sample(n, stream).tobytes() == want[:, ::-1].copy().tobytes()
 
 
 class TestGaussianVector:

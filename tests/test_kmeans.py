@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from mixedrates.estimators import (
     update_centers,
     within_ss,
 )
-from mixedrates.harness import _replicate_stream
+from mixedrates.harness import _replicate_stream, records_to_csv_lines, run_cells
 from mixedrates.limits import kmeans_two_line_sample
 
 SYMMETRIC4 = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -51,8 +53,17 @@ def full_pattern_search(points, centers, step, rounds=40):
     return cur, best, last_move
 
 
+def lloyd(points, init):
+    return kmeans._lloyd(kmeans.KmeansWorkspace().load(points), init)
+
+
 def lloyd_centers(points, init):
-    return kmeans._lloyd(points, init)[1]
+    return lloyd(points, init)[1]
+
+
+def transfers(points, labels):
+    """The transfer search from a copy of ``labels``, in a fresh workspace."""
+    return kmeans._transfers(kmeans.KmeansWorkspace().load(points), np.array(labels, dtype=bool))
 
 
 def worst_transfer_drop(points, labels, chunk=200):
@@ -239,9 +250,9 @@ class TestTransfers:
         pts = ladder_sample(n, r)
         _, want_val, last_move = full_pattern_search(pts, lloyd_centers(pts, "cv"), polish_step(n))
         assert last_move == 39
-        labels, centers, w = kmeans._transfers(pts, kmeans._lloyd(pts, "cv")[0])
+        labels, centers, w = transfers(pts, lloyd(pts, "cv")[0])
         assert w <= want_val * (1 + 1e-15)
-        again = kmeans._transfers(pts, labels)
+        again = transfers(pts, labels)
         assert np.array_equal(again[0], labels)
         assert again[1].tobytes() == centers.tobytes()
 
@@ -250,11 +261,54 @@ class TestTransfers:
     def test_translation_moves_centers_by_the_offset(self, n, r, offset):
         offset = np.array(offset)
         pts = ladder_sample(n, r)
-        labels = kmeans._lloyd(pts, "cv")[0]
-        want_labels, want, _ = kmeans._transfers(pts, labels)
-        got_labels, got, _ = kmeans._transfers(pts + offset, labels)
+        labels = lloyd(pts, "cv")[0]
+        want_labels, want, _ = transfers(pts, labels)
+        got_labels, got, _ = transfers(pts + offset, labels)
         assert np.array_equal(got_labels, want_labels)
         assert np.max(np.abs(got - offset - want)) <= 1e-12 * max(1.0, np.max(np.abs(offset)))
+
+
+def same_fit(a, b):
+    return (
+        np.array_equal(a.centers, b.centers)
+        and a.w_value == b.w_value
+        and (a.delta_s, a.eps_d, a.delta_d, a.eps_s) == (b.delta_s, b.eps_d, b.delta_d, b.eps_s)
+        and (a.empty_repair, a.left_neighborhood) == (b.empty_repair, b.left_neighborhood)
+    )
+
+
+class TestWorkspace:
+    def test_shared_workspace_fits_equal_fresh_fits(self):
+        # n = 16000, then 1000 in the leading part of each buffer, then
+        # 16000 again on what the smaller fit left behind.  Replicate 0 at
+        # n = 1000 leaves the neighbourhood from the cv start; shifted by
+        # (5, 5), every point is nearer the second ch center, so the ch
+        # start empties a cluster.
+        samples = [
+            ladder_sample(16000, 1),
+            ladder_sample(1000, 0),
+            ladder_sample(16000, 0) + 5.0,
+        ]
+        workspace = kmeans.KmeansWorkspace()
+        shared = [fit_kmeans2_global(pts, workspace=workspace) for pts in samples]
+        assert shared[1].coords_cv.left_neighborhood
+        assert shared[2].coords_ch.empty_repair
+        for pts, got in zip(samples, shared):
+            want = fit_kmeans2_global(pts)
+            assert (got.choice, got.tie) == (want.choice, want.tie)
+            assert same_fit(got.coords_cv, want.coords_cv)
+            assert same_fit(got.coords_ch, want.coords_ch)
+            for init in ("cv", "ch"):
+                assert same_fit(fit_kmeans2(pts, init), getattr(want, f"coords_{init}"))
+
+    def test_ladder_records_are_pinned(self):
+        # sha256 of the records of one n = 16000 rung, where the buffers
+        # pass glibc's 128 KiB mmap threshold; taken before the fit moved
+        # into a workspace
+        recs = run_cells("kmeans", [16000], 10, 1729)
+        text = "\n".join(records_to_csv_lines(recs))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "9a50049cbe2d79c843dd136a8859ee56b115e2a179761f55f4666e1f847a24d4"
 
 
 class TestReflection:

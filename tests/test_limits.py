@@ -362,7 +362,7 @@ class TestShorthRLimit:
 
 class TestLassoLimit:
     def test_no_penalty_is_centered(self):
-        d = sample_lasso_limits(1 / 3, 0.0, 1.0, SeedStream(31, 0), 100_000)
+        d = sample_lasso_limits(1 / 3, 0.0, 0.5, 1.0, SeedStream(31, 0), 100_000)
         assert abs(d.mean()) < 3.0 * math.sqrt(3.0 / 100_000)
 
     def test_moments_match_localized_criterion_oracle(self):
@@ -376,7 +376,7 @@ class TestLassoLimit:
         minimizers = np.empty(z.size)
         for i, zi in enumerate(z):
             minimizers[i] = us[np.argmin(us * us * C11 - 2.0 * us * zi + penalty)]
-        draws = sample_lasso_limits(C11, lam0, sigma, SeedStream(31, 2), 100_000)
+        draws = sample_lasso_limits(C11, lam0, 0.5, sigma, SeedStream(31, 2), 100_000)
         se_mean = draws.std() / math.sqrt(draws.size) + minimizers.std() / math.sqrt(z.size)
         assert abs(draws.mean() - minimizers.mean()) < 3.0 * se_mean
         assert abs(draws.mean() - (-lam0 / (4.0 * C11))) < 3.0 * se_mean
@@ -386,7 +386,7 @@ class TestLassoLimit:
 
     def test_requires_positive_curvature(self):
         with pytest.raises(ValueError):
-            sample_lasso_limits(0.0, 1.0, 1.0, SeedStream(31, 3), 10)
+            sample_lasso_limits(0.0, 1.0, 0.5, 1.0, SeedStream(31, 3), 10)
 
 
 class TestKmeansScores:
