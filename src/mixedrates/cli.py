@@ -39,15 +39,11 @@ from .harness import (
     LadderConfig,
     compare_with_limit,
     fit_rate,
+    lasso_alpha1_draws,
     records_to_csv_lines,
     run_ladder,
 )
-from .limits import (
-    ChernoffConfig,
-    sample_chernoff_argmax,
-    sample_kmeans_limit,
-    sample_lasso_limits,
-)
+from .limits import ChernoffConfig, sample_chernoff_argmax, sample_kmeans_limit
 from .rates import RateSpec, RateSpecError, derive_rates, parse_fraction
 
 EXIT_OK = 0
@@ -336,9 +332,8 @@ def _limit_rows(args, stream):
         draws = sample_chernoff_argmax(cfg, stream)
         return [("index", "t")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     if args.law == "lasso-first":
-        # --c11, --lambda0 and --sigma set the law; gamma stays the lasso default
-        gamma = EXPERIMENTS["lasso"].defaults["gamma"]
-        draws = sample_lasso_limits(args.c11, args.lambda0, gamma, args.sigma, stream, args.draws)
+        # the law simulate compares alpha1 with, at the registry's defaults
+        draws = lasso_alpha1_draws(EXPERIMENTS["lasso"].resolve(None), stream, args.draws)
         return [("index", "u")] + [(i, repr(float(v))) for i, v in enumerate(draws)]
     # --law kmeans, the last of the parser's choices
     draws = sample_kmeans_limit(stream, args.draws)
@@ -461,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lim.add_argument("--horizon", type=float, help="grid horizon T (default: auto)")
     p_lim.add_argument("--step", type=float, help="grid step h (default: T/1000)")
-    p_lim.add_argument("--c11", type=float, default=1.0 / 3.0, help="design curvature")
-    p_lim.add_argument("--lambda0", type=float, default=2.0)
-    p_lim.add_argument("--sigma", type=float, default=1.0)
     # Sigma is exact (KMEANS_SIGMA), so nothing estimates it: the flag is
     # accepted for old command lines (bench/workloads.py still passes it)
     # and ignored

@@ -136,9 +136,13 @@ def generate_lasso_designs(
 def _centered_draws(n: int, d: int, streams, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``attempt`` of each stream's design, centered, and its X'X."""
     X = np.empty((len(streams), n, d))
+    gen = SeedStream(0).generator()  # re-keyed to each stream in turn
     for i, s in enumerate(streams):
-        gen = SeedStream(s.master_seed, s.stream_index + attempt).generator()
-        X[i] = gen.uniform(-1.0, 1.0, size=(n, d))
+        SeedStream(s.master_seed, s.stream_index + attempt).rekey(gen).random(out=X[i])
+    # Uniform[-1, 1] as uniform() forms it, -1 + 2u: 2u is exact, so both
+    # round once, to the same value
+    X *= 2.0
+    X -= 1.0
     X -= X.mean(axis=1, keepdims=True)
     return X, np.swapaxes(X, 1, 2) @ X
 

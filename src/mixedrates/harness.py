@@ -54,6 +54,7 @@ __all__ = [
     "EXPERIMENTS",
     "ERROR_SUMMARIES",
     "Experiment",
+    "LASSO_C11",
     "LadderConfig",
     "LadderRecord",
     "RateEstimate",
@@ -62,6 +63,7 @@ __all__ = [
     "compare_with_limit",
     "fit_rate",
     "ks_two_sample",
+    "lasso_alpha1_draws",
     "zero_fraction",
     "records_to_csv_lines",
 ]
@@ -114,13 +116,15 @@ def _run_lasso_replicates(
     params, master_seed: int, n: int, replicates: range
 ) -> list[LadderRecord]:
     """The replicates in blocks of ``_LASSO_BLOCK_ROWS // n``: each replicate
-    draws its design and noise from its own streams, and each block is fitted
-    as one stack (``fit_bridge_lasso_block``)."""
+    draws its design and noise from its own streams, each through a
+    generator re-keyed to it, and each block is fitted as one stack
+    (``fit_bridge_lasso_block``)."""
     d = int(params["d"])
     beta = np.zeros(d)
     beta[0] = 1.0
     lam, gamma = float(params["lambda0"]) * math.sqrt(n), float(params["gamma"])
     step = max(1, _LASSO_BLOCK_ROWS // n)
+    gen = SeedStream(master_seed).generator()  # re-keyed to each noise stream
     records = []
     for start in range(0, len(replicates), step):
         block = replicates[start : start + step]
@@ -132,7 +136,7 @@ def _run_lasso_replicates(
         y = np.empty((len(block), n))
         for row, r in zip(y, block):
             stream = _replicate_stream(master_seed, "lasso", n, r, "noise")
-            stream.generator().standard_normal(out=row)
+            stream.rekey(gen).standard_normal(out=row)
         y *= params["sigma"]
         y += X @ beta
         for r, fit in zip(block, fit_bridge_lasso_block(X, y, xtx, lam, gamma)):
@@ -154,9 +158,10 @@ def _run_shorth_replicates(
     params, master_seed: int, n: int, replicates: range
 ) -> list[LadderRecord]:
     records = []
+    gen = SeedStream(master_seed).generator()  # re-keyed to each replicate's stream
     for r in replicates:
         stream = _replicate_stream(master_seed, "shorth", n, r, "data")
-        data = stream.generator().standard_normal(n)
+        data = stream.rekey(gen).standard_normal(n)
         # the draw is ours: sorting it in place spares fit_shorth's sorted
         # copy, whose fresh pages fault in on every large-n replicate
         data.sort()
@@ -218,16 +223,21 @@ def _check_lasso_params(params: Mapping[str, object]) -> None:
     check_bridge_params(params["gamma"], params["lambda0"], params["sigma"])
 
 
-def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
-    # C11 = 1/3 is the design curvature of centered Uniform[-1, 1] columns
+# the design curvature C11 of centered Uniform[-1, 1] columns, Var U = 1/3
+LASSO_C11 = 1.0 / 3.0
+
+
+def lasso_alpha1_draws(params, stream: SeedStream, draws: int) -> np.ndarray:
+    """``draws`` draws of the alpha1 limit law at the lasso ``params``, from
+    ``stream``: the registry law and ``limit --law lasso-first`` both draw
+    through here."""
     return sample_lasso_limits(
-        1.0 / 3.0,
-        params["lambda0"],
-        params["gamma"],
-        params["sigma"],
-        SeedStream(master_seed, 12345),
-        draws,
+        LASSO_C11, params["lambda0"], params["gamma"], params["sigma"], stream, draws
     )
+
+
+def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:
+    return lasso_alpha1_draws(params, SeedStream(master_seed, 12345), draws)
 
 
 def _shorth_chernoff(draws: int) -> ChernoffConfig:

@@ -22,7 +22,13 @@ from scipy.stats import kstwobign
 from mixedrates import acceptance as acc
 from mixedrates.distributions import CovMatrix, SeedStream
 from mixedrates.estimators import shorth_population
-from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit, run_cells
+from mixedrates.harness import (
+    EXPERIMENTS,
+    LASSO_C11,
+    LadderRecord,
+    compare_with_limit,
+    run_cells,
+)
 from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
@@ -160,8 +166,7 @@ def test_law_check_rejects_a_rescale_off_by_one_twelfth(
 def gamma_blind_lasso_law(params, master_seed, n, draws):
     """The alpha1 law as once drawn at every gamma: N(-lambda0/(4 C11),
     sigma^2/C11), right only at gamma = 1/2."""
-    C11 = 1.0 / 3.0
-    mean, sd = -params["lambda0"] / (4.0 * C11), params["sigma"] / math.sqrt(C11)
+    mean, sd = -params["lambda0"] / (4.0 * LASSO_C11), params["sigma"] / math.sqrt(LASSO_C11)
     return SeedStream(master_seed, 12345).generator().normal(mean, sd, draws)
 
 

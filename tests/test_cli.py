@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mixedrates
-from mixedrates import acceptance, cli, limits
+from mixedrates import acceptance, cli, harness, limits
 from mixedrates.acceptance import CheckResult
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import DesignError
@@ -549,6 +549,26 @@ class TestLimitCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "index,u"
         assert len(lines) == 6
+
+    def test_lasso_first_draws_the_registry_law(self, monkeypatch, capsys):
+        # the law simulate compares alpha1 with: a registry default moves it,
+        # and the flags that once set it apart are gone
+        lasso = EXPERIMENTS["lasso"]
+        argv = ["limit", "--law", "lasso-first", "--draws", "50", "--seed", "5"]
+        assert run_cli([*argv, "--stream-index", "3"]) == 0
+        want = harness.lasso_alpha1_draws(lasso.resolve(None), SeedStream(5, 3), 50)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == [f"{i},{float(v)!r}" for i, v in enumerate(want)]
+        assert run_cli(argv) == 0
+        default = capsys.readouterr().out
+        defaults = {**lasso.defaults, "gamma": 1.0}
+        monkeypatch.setitem(EXPERIMENTS, "lasso", dataclasses.replace(lasso, defaults=defaults))
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out != default
+        for flag in ("--c11", "--lambda0", "--sigma"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*argv, flag, "1"])
+            assert exc.value.code == 2
 
     def test_dump_two_line(self, capsys):
         assert run_cli(["limit", "--dump-sample", "two-line", "--draws", "4", "--seed", "7"]) == 0

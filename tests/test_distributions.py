@@ -52,8 +52,46 @@ class TestSeedStream:
         "mending it moves every record drawn from such a stream",
     )
     def test_philox_key_keeps_a_high_stream_index_exactly(self):
-        key = SeedStream(1, 0xEBC3A32FB68DA9A3).generator().bit_generator.state["state"]["key"]
-        assert [int(k) for k in key] == [1, 0xEBC3A32FB68DA9A3]
+        stream = SeedStream(1, 0xEBC3A32FB68DA9A3)
+        for gen in (stream.generator(), stream.rekey(SeedStream(2, 3).generator())):
+            key = gen.bit_generator.state["state"]["key"]
+            assert [int(k) for k in key] == [1, 0xEBC3A32FB68DA9A3]
+
+
+def _draws(gen: np.random.Generator) -> list:
+    """One of each draw the replicate runners and samplers make, in turn."""
+    normals, uniforms = np.empty(7), np.empty((5, 3))
+    gen.standard_normal(out=normals)
+    gen.random(out=uniforms)
+    return [
+        normals,
+        uniforms,
+        gen.integers(0, 2, size=9),
+        gen.standard_exponential(size=9, method="inv"),
+        gen.normal(-1.5, 1.7, size=9),
+    ]
+
+
+class TestRekey:
+    @pytest.mark.parametrize("index", [0, 5, 2**63 - 1, 2**63, 0xEBC3A32FB68DA9A3])
+    def test_rekeyed_generator_replays_a_fresh_one(self, index):
+        stream = SeedStream(1729, index)
+        gen = SeedStream(7, 8).generator()
+        # leave it mid-state: a partly used Philox buffer, and a spare 32-bit
+        # half from a 32-bit integers draw
+        gen.random(2)
+        gen.integers(0, 2**31, size=1, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert gen.bit_generator.state["buffer_pos"] == 3
+        rekeyed = stream.rekey(gen)
+        assert rekeyed is gen
+        fresh = stream.generator()
+        assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+        for got, want in zip(_draws(gen), _draws(fresh)):
+            assert got.tobytes() == want.tobytes()
+        # and once more, after the draws above moved it on
+        again = [d.tobytes() for d in _draws(stream.rekey(gen))]
+        assert again == [d.tobytes() for d in _draws(stream.generator())]
 
 
 class TestLaplace:

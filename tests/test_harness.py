@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -275,6 +276,64 @@ class TestReplicateBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+# sha256 of the records of small run_cells calls: (experiment, n_values,
+# replicates, master_seed, params, eigenvalue floor of the lasso designs) ->
+# digest.  The floors at n = 6 reject 5 (d = 2) and 4 (d = 3) first design
+# draws of the 50 and redraw one of them twice.  The k-means rung at
+# n = 16000 passes glibc's 128 KiB mmap threshold, and was pinned before the
+# fit moved into a workspace; the others before the runners re-keyed one
+# generator per block.
+RECORD_DIGESTS = {
+    "lasso": (
+        ("lasso", [40, 250, 2000], 30, 1729, {}, None),
+        "cf3946f4c9bb3615cc08dc99cfe0ef309a459254138ec7123d2ec21960873fb7",
+    ),
+    "lasso-gamma1": (
+        ("lasso", [40, 250, 2000], 30, 1729, {"gamma": 1.0}, None),
+        "afc4f2fc3c4c6a9b49048b653f4ac6c6c496c730d377f9903cb0688c37caf383",
+    ),
+    "lasso-d3": (
+        ("lasso", [40, 250, 2000], 30, 1729, {"d": 3}, None),
+        "5d05dea49d25cb5e5d7cbf13933c4ef90a58929e8092181ca4d5ad1f4c00be97",
+    ),
+    "lasso-d3-gamma1": (
+        ("lasso", [40, 250, 2000], 30, 1729, {"d": 3, "gamma": 1.0}, None),
+        "eeb3e6e1254469d6b58601fb2c7a7c3a192c91b18977d2f4cc70a3ad8d5a9450",
+    ),
+    "lasso-fixed": (
+        ("lasso", [40, 250, 2000], 30, 1729, {"design_mode": "fixed"}, None),
+        "9ef468d6eee23e83c2754f0d608b9db9627825db4ec49285a95cdd01681c5eb0",
+    ),
+    "lasso-retries": (
+        ("lasso", [6], 50, 12, {}, 0.05),
+        "3d072083b3727a7eee6b3f4a695257457d0f4637e3bee44b3a317f5071b2306a",
+    ),
+    "lasso-d3-retries": (
+        ("lasso", [6], 50, 12, {"d": 3}, 0.01),
+        "b51a1c1f869c180e6a41701ab3a8a737ff98f3978bb4182137663bdf858565fa",
+    ),
+    "shorth": (
+        ("shorth", [64000], 20, 1729, {}, None),
+        "f017606c063c6acef3bd10d174dab3b41ccd071b471ae9c996524386af73f12f",
+    ),
+    "kmeans": (
+        ("kmeans", [16000], 10, 1729, {}, None),
+        "9a50049cbe2d79c843dd136a8859ee56b115e2a179761f55f4666e1f847a24d4",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", RECORD_DIGESTS)
+def test_records_are_pinned(monkeypatch, case, workers):
+    (experiment, n_values, replicates, seed, params, floor), digest = RECORD_DIGESTS[case]
+    if floor is not None:
+        monkeypatch.setattr(lasso, "_MIN_EIGENVALUE", floor)
+    recs = run_cells(experiment, n_values, replicates, seed, params, workers=workers)
+    text = "\n".join(records_to_csv_lines(recs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCompareWithLimit:

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +13,7 @@ from mixedrates.estimators import (
     update_centers,
     within_ss,
 )
-from mixedrates.harness import _replicate_stream, records_to_csv_lines, run_cells
+from mixedrates.harness import _replicate_stream
 from mixedrates.limits import kmeans_two_line_sample
 
 SYMMETRIC4 = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -300,15 +298,6 @@ class TestWorkspace:
             assert same_fit(got.coords_ch, want.coords_ch)
             for init in ("cv", "ch"):
                 assert same_fit(fit_kmeans2(pts, init), getattr(want, f"coords_{init}"))
-
-    def test_ladder_records_are_pinned(self):
-        # sha256 of the records of one n = 16000 rung, where the buffers
-        # pass glibc's 128 KiB mmap threshold; taken before the fit moved
-        # into a workspace
-        recs = run_cells("kmeans", [16000], 10, 1729)
-        text = "\n".join(records_to_csv_lines(recs))
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "9a50049cbe2d79c843dd136a8859ee56b115e2a179761f55f4666e1f847a24d4"
 
 
 class TestReflection:

@@ -17,6 +17,7 @@ from mixedrates.estimators import (
 )
 from mixedrates.estimators.lasso import (
     _axis_grid,
+    _centered_draws,
     _grid_min,
     _grid_points,
     _grid_values,
@@ -104,6 +105,22 @@ class TestDesign:
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             generate_lasso_design(2, 2, SeedStream(10, 3))
+
+    @pytest.mark.parametrize("attempt", range(4))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [6, 2000])
+    def test_centered_draws_equal_the_uniform_construction(self, n, d, attempt):
+        # the construction the in-place draws through one re-keyed generator
+        # replaced: a fresh generator and uniform(-1, 1) per stream
+        streams = [SeedStream(7, i) for i in (0, 1, 2**63, 0xEBC3A32FB68DA9A3)]
+        want = np.empty((len(streams), n, d))
+        for i, s in enumerate(streams):
+            gen = SeedStream(s.master_seed, s.stream_index + attempt).generator()
+            want[i] = gen.uniform(-1.0, 1.0, size=(n, d))
+        want -= want.mean(axis=1, keepdims=True)
+        X, xtx = _centered_draws(n, d, streams, attempt)
+        assert X.tobytes() == want.tobytes()
+        assert xtx.tobytes() == (np.swapaxes(want, 1, 2) @ want).tobytes()
 
     def test_stacked_draws_follow_the_one_design_rule(self, monkeypatch):
         # At n = 6 a threshold of 0.1 on the smallest eigenvalue of X'X/n
