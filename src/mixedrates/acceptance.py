@@ -568,9 +568,9 @@ def check_oracle_linearization(tier: TierParams, seed: int) -> CheckResult:
     1e-12 floor for the two entries whose scores square to exactly 4."""
     worst = _linearization_gate(SeedStream(seed, 888).child("gate"))
     samples = tier.kmeans_cov_samples
-    estimate = estimate_kmeans_cov(samples, SeedStream(seed, 999)).entries
+    estimate = estimate_kmeans_cov(samples, SeedStream(seed, 999))
     sd = np.maximum(np.sqrt(_KMEANS_SCORE_PRODUCT_VAR / samples), 1e-12)
-    deviation_sd = float(np.max(np.abs(estimate - KMEANS_SIGMA.entries) / sd))
+    deviation_sd = float(np.max(np.abs(estimate - KMEANS_SIGMA) / sd))
     return CheckResult(
         name="oracle-score-linearization",
         passed=worst <= 1e-2 and deviation_sd <= 5.0,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, TIERS, run_all
-from .distributions import SeedStream, sample_two_line
+from .distributions import SeedStream
 from .harness import (
     ERROR_SUMMARIES,
     EXPERIMENTS,
@@ -43,7 +43,9 @@ from .harness import (
     records_to_csv_lines,
     run_ladder,
 )
-from .limits import ChernoffConfig, sample_chernoff_argmax, sample_kmeans_limit
+from .limits import (
+    ChernoffConfig, kmeans_two_line_sample, sample_chernoff_argmax, sample_kmeans_limit
+)
 from .rates import RateSpec, RateSpecError, derive_rates, parse_fraction
 
 EXIT_OK = 0
@@ -310,9 +312,10 @@ def _cmd_limit(args) -> int:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
     stream = SeedStream(args.seed, args.stream_index)
     if args.dump_sample:
-        pts = sample_two_line(args.draws, stream)
+        # x is the line (+/-1), y the double exponential along it
+        pts = kmeans_two_line_sample(args.draws, stream)
         rows = [("index", "x", "y")] + [
-            (i, repr(float(x)), repr(float(y))) for i, (x, y) in enumerate(pts)
+            (i, repr(float(x)), repr(float(y))) for i, (y, x) in enumerate(pts)
         ]
     else:
         rows = _limit_rows(args, stream)

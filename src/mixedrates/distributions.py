@@ -21,9 +21,6 @@ import numpy as np
 __all__ = [
     "SeedStream",
     "derive_stream_index",
-    "CovMatrix",
-    "IndefiniteCovarianceError",
-    "sample_two_line",
     "sample_gaussian_vector",
 ]
 
@@ -87,63 +84,8 @@ class SeedStream:
         return SeedStream(self.master_seed, derive_stream_index(self.stream_index, *parts))
 
 
-def sample_two_line(n: int, stream: SeedStream, x_column: int = 0) -> np.ndarray:
-    """``n`` points (x, y) with x = +/-1 equiprobable and, independently,
-    y standard double exponential: the planar law concentrated on two parallel
-    lines whose two optimal 2-means configurations tie exactly.
-
-    Returns an (n, 2) array with x in column ``x_column`` and y in the
-    other; the draws do not depend on the layout.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gen = stream.generator()
-    pts = np.empty((n, 2))
-    x, y = pts[:, x_column], pts[:, 1 - x_column]
-    # both columns first hold +/-1: x, then the sign of y
-    for col in (x, y):
-        col[:] = gen.integers(0, 2, size=n)
-        col *= 2.0
-        col -= 1.0
-    y *= gen.standard_exponential(size=n, method="inv")
-    return pts
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    """Symmetric positive-semidefinite covariance matrix."""
-
-    dimension: int
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        m = np.asarray(entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "dimension", m.shape[0])
-        object.__setattr__(self, "entries", m)
-
-
-class IndefiniteCovarianceError(ValueError):
-    """Square-root factorization failed: the matrix has a negative eigenvalue."""
-
-
-def _sqrt_factor(cov: CovMatrix) -> np.ndarray:
-    """Symmetric square root via eigendecomposition; rejects indefinite input."""
-    w, q = np.linalg.eigh(cov.entries)
-    scale = max(abs(w[-1]), 1.0)
-    if w[0] < -1e-10 * scale:
-        raise IndefiniteCovarianceError(
-            f"smallest eigenvalue {w[0]:.3e} is negative; matrix is not PSD"
-        )
-    w = np.clip(w, 0.0, None)
-    return (q * np.sqrt(w)) @ q.T
-
-
-def sample_gaussian_vector(cov: CovMatrix, stream: SeedStream, draws: int) -> np.ndarray:
-    """A (draws, d) matrix of draws from N(0, cov), through the symmetric
-    square root of ``cov``."""
-    root = _sqrt_factor(cov)
-    return stream.generator().standard_normal((draws, cov.dimension)) @ root.T
+def sample_gaussian_vector(cov: np.ndarray, stream: SeedStream, draws: int) -> np.ndarray:
+    """A (draws, d) matrix of draws from N(0, cov), through the Cholesky
+    factor of the positive-definite (d, d) array ``cov``."""
+    root = np.linalg.cholesky(cov)
+    return stream.generator().standard_normal((draws, len(cov))) @ root.T

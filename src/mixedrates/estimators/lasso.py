@@ -64,11 +64,12 @@ class LassoConfig:
         if X.ndim != 2 or X.shape[1] != b.size:
             raise ValueError("design must be an n x d matrix matching beta_true")
         check_bridge_params(gamma, lambda0, sigma)
+        if not np.isfinite(X).all():
+            raise ValueError("design contains non-finite values")
         col_means = X.mean(axis=0)
         if np.max(np.abs(col_means)) > 1e-10:
             raise ValueError("design columns must be centered to mean zero")
-        cn = X.T @ X / X.shape[0]
-        if np.linalg.eigvalsh(cn)[0] <= _MIN_EIGENVALUE:
+        if _singular((X.T @ X)[None], X.shape[0]).size:
             raise DesignError("normalized Gram matrix C_n is numerically singular")
         object.__setattr__(self, "design", X)
         object.__setattr__(self, "beta_true", b)
@@ -447,6 +448,8 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
     n, d = X.shape[1:]
     if y.size != n:
         raise ValueError("responses length does not match the design")
+    if not np.isfinite(y).all():
+        raise ValueError("responses contain non-finite values")
     if d > 3:
         raise ValueError(
             f"d = {d} is not supported (d <= 3): the grid stage holds 102^d criterion "

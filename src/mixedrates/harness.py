@@ -54,7 +54,6 @@ __all__ = [
     "EXPERIMENTS",
     "ERROR_SUMMARIES",
     "Experiment",
-    "LASSO_C11",
     "LadderConfig",
     "LadderRecord",
     "RateEstimate",
@@ -223,17 +222,11 @@ def _check_lasso_params(params: Mapping[str, object]) -> None:
     check_bridge_params(params["gamma"], params["lambda0"], params["sigma"])
 
 
-# the design curvature C11 of centered Uniform[-1, 1] columns, Var U = 1/3
-LASSO_C11 = 1.0 / 3.0
-
-
 def lasso_alpha1_draws(params, stream: SeedStream, draws: int) -> np.ndarray:
     """``draws`` draws of the alpha1 limit law at the lasso ``params``, from
     ``stream``: the registry law and ``limit --law lasso-first`` both draw
     through here."""
-    return sample_lasso_limits(
-        LASSO_C11, params["lambda0"], params["gamma"], params["sigma"], stream, draws
-    )
+    return sample_lasso_limits(params["lambda0"], params["gamma"], params["sigma"], stream, draws)
 
 
 def _lasso_alpha1_law(params, master_seed: int, n: int, draws: int) -> np.ndarray:

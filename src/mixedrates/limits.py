@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CovMatrix, SeedStream, sample_gaussian_vector, sample_two_line
+from .distributions import SeedStream, sample_gaussian_vector
 from .estimators.kmeans import centers_from_coords, within_ss
 
 __all__ = [
     "ChernoffConfig",
     "BoundaryHitError",
     "KMEANS_SIGMA",
+    "LASSO_C11",
     "sample_chernoff_argmax",
     "sample_shorth_r_limit",
     "sample_lasso_limits",
@@ -58,7 +59,8 @@ class ChernoffConfig:
 
     The drift coefficient ``c2`` must be negative (concave drift); ``c1`` is
     the squared diffusion scale.  Defaults: T = 4a (a = ``chernoff_scale``)
-    covers the argmax support comfortably, and h = T/1000 = a/250.
+    covers the argmax support comfortably, and h = T/1000 = a/250.  The grid
+    is t = jh for |j| <= T/h, so T/h must be an integer (to 1e-8 relative).
 
     Grid rule: the grid argmax lives on the lattice hZ, so its CDF is off
     Chernoff's law by up to one lattice mass, f(0) h/a = 0.003 (f(0) = 0.758),
@@ -84,22 +86,13 @@ class ChernoffConfig:
             raise ValueError("paths must be >= 1")
         T = self.T if self.T is not None else 4.0 * chernoff_scale(self.c1, self.c2)
         h = self.h if self.h is not None else T / 1000.0
-        if not 0 < h <= T:
-            raise ValueError("need 0 < h <= T")
+        if not 0 < h <= T < math.inf:
+            raise ValueError("need 0 < h <= T < inf")
+        steps = T / h
+        if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
+            raise ValueError(f"T/h = {steps} is not integral")
         object.__setattr__(self, "T", float(T))
         object.__setattr__(self, "h", float(h))
-
-
-def _validate_grid(T: float, h: float) -> int:
-    if not T > 0:
-        raise ValueError("horizon T must be positive")
-    if not 0 < h <= T:
-        raise ValueError("step h must satisfy 0 < h <= T")
-    steps = T / h
-    n = round(steps)
-    if n < 1 or abs(steps - n) > 1e-8 * max(1.0, steps):
-        raise ValueError(f"T/h = {steps} is not integral")
-    return int(n)
 
 
 _CHUNK = 512  # paths per stream chunk: part of the draw layout, fixed
@@ -117,7 +110,7 @@ def _chernoff_argmax_and_max(cfg: ChernoffConfig, stream: SeedStream):
     in blocks of 32 rows through one reused (32, n) buffer; a block draws
     the next 32*n values of that same sequence, so the block size sets the
     working memory, O(32 n + paths), and never the draws."""
-    n = _validate_grid(cfg.T, cfg.h)
+    n = round(cfg.T / cfg.h)
     gen = stream.generator()
     drift = cfg.c2 * (np.arange(1, n + 1) * cfg.h) ** 2
     sd, scale = math.sqrt(cfg.h), math.sqrt(cfg.c1)
@@ -196,11 +189,15 @@ def sample_shorth_r_limit(
 # Penalized-regression first-coordinate limit
 
 
+# the design curvature C11 of centered Uniform[-1, 1] columns, Var U = 1/3
+LASSO_C11 = 1.0 / 3.0
+
+
 def sample_lasso_limits(
-    C11: float, lambda0: float, gamma: float, sigma: float, stream: SeedStream, draws: int
+    lambda0: float, gamma: float, sigma: float, stream: SeedStream, draws: int
 ) -> np.ndarray:
     """Draws from the Gaussian limit of sqrt(n) times the first-coefficient
-    error: N(-lambda0*gamma/(2*C11), sigma^2/C11).
+    error: N(-lambda0*gamma/(2*C11), sigma^2/C11), C11 = ``LASSO_C11``.
 
     The bridge penalty lambda0*sqrt(n)*(|1 + u/sqrt(n)|^gamma - 1) on the
     nonzero coordinate tends to lambda0*gamma*u (Knight and Fu 2000, Thms 2
@@ -209,10 +206,9 @@ def sample_lasso_limits(
     is the penalty-induced shrinkage bias, and lambda0 = 0 gives the plain
     least-squares limit.
     """
-    if not C11 > 0:
-        raise ValueError("C11 must be positive")
-    gen = stream.generator()
-    return gen.normal(-lambda0 * gamma / (2.0 * C11), sigma / math.sqrt(C11), size=draws)
+    return stream.generator().normal(
+        -lambda0 * gamma / (2.0 * LASSO_C11), sigma / math.sqrt(LASSO_C11), size=draws
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +221,27 @@ def sample_lasso_limits(
 # -2 sign(x) u, 2 y sign(x), 2u and -2y.  Each has second moment 4
 # (E u^2 = Var |x| = 1, y^2 = 1), and every cross moment vanishes because it
 # is odd in y or in sign(x), which are independent of u and of each other.
-KMEANS_SIGMA = CovMatrix(4.0 * np.eye(4))
-KMEANS_SIGMA.entries.flags.writeable = False  # shared by every caller
+KMEANS_SIGMA = 4.0 * np.eye(4)
+KMEANS_SIGMA.flags.writeable = False  # shared by every caller
 
 
 def kmeans_two_line_sample(n: int, stream: SeedStream) -> np.ndarray:
-    """Two-line draws oriented for the mixed-rates analysis: support lines
-    horizontal (second coordinate +/-1), double-exponential coordinate along
-    each line.  In this orientation the cv center pair straddles the support
-    and its split line crosses both lines transversally."""
-    return sample_two_line(n, stream, x_column=1)
+    """``n`` points of the two-line law, whose two optimal 2-means
+    configurations tie exactly, as an (n, 2) array: column 1 is the line,
+    +/-1 equiprobable, and column 0, independently, a standard double
+    exponential along it.  With the lines horizontal the cv center pair
+    straddles the support and its split line crosses both lines."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gen = stream.generator()
+    pts = np.empty((n, 2))
+    # both columns first hold +/-1: the line, then the sign along it
+    for col in (pts[:, 1], pts[:, 0]):
+        col[:] = gen.integers(0, 2, size=n)
+        col *= 2.0
+        col -= 1.0
+    pts[:, 0] *= gen.standard_exponential(size=n, method="inv")
+    return pts
 
 
 def kmeans_scores(points: np.ndarray) -> np.ndarray:
@@ -298,7 +305,7 @@ def _linearization_gate(stream: SeedStream, n: int = 200_000) -> float:
     return worst
 
 
-def estimate_kmeans_cov(samples: int, stream: SeedStream) -> CovMatrix:
+def estimate_kmeans_cov(samples: int, stream: SeedStream) -> np.ndarray:
     """Monte Carlo estimate of Sigma = E[score * score'] over the two-line
     law, from ``samples`` points in chunks of a million.  The program draws
     its limits from the exact ``KMEANS_SIGMA``; the acceptance check
@@ -316,7 +323,7 @@ def estimate_kmeans_cov(samples: int, stream: SeedStream) -> CovMatrix:
         acc += s.T @ s
         done += m
         part += 1
-    return CovMatrix(acc / samples)
+    return acc / samples
 
 
 def slow_block_closed_form(z1: np.ndarray) -> np.ndarray:

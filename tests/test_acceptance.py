@@ -20,16 +20,10 @@ import pytest
 from scipy.stats import kstwobign
 
 from mixedrates import acceptance as acc
-from mixedrates.distributions import CovMatrix, SeedStream
+from mixedrates.distributions import SeedStream
 from mixedrates.estimators import shorth_population
-from mixedrates.harness import (
-    EXPERIMENTS,
-    LASSO_C11,
-    LadderRecord,
-    compare_with_limit,
-    run_cells,
-)
-from mixedrates.limits import kmeans_scores, kmeans_two_line_sample
+from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit, run_cells
+from mixedrates.limits import LASSO_C11, kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
 TIER = acc.FULL
@@ -127,7 +121,7 @@ def test_criterion_9_oracle_chernoff_scaling_rejects_unit_factor(monkeypatch):
 def test_criterion_9_oracle_score_linearization_rejects_covariance_off_by_ten_percent(
     monkeypatch,
 ):
-    monkeypatch.setattr(acc, "KMEANS_SIGMA", CovMatrix(4.4 * np.eye(4)))
+    monkeypatch.setattr(acc, "KMEANS_SIGMA", 4.4 * np.eye(4))
     res = report(acc.check_oracle_linearization(TIER, SEED))
     assert res.measured["worst_relative_error"] <= 1e-2
     assert res.measured["worst_cov_deviation_sd"] > 5.0

@@ -576,6 +576,30 @@ class TestLimitCommand:
         assert lines[0] == "index,x,y"
         assert all(line.split(",")[1] in ("-1.0", "1.0") for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("--law kmeans --draws 2000 --seed 1729",
+             "0ef5a258ef60ce6b3073ba58bec2a45885f4121ead064fc17a1adfac354c23a1"),
+            ("--dump-sample two-line --draws 1000 --seed 7",
+             "7c8cc6050b0d3aa60068e9ca0c058c94e640aa0b0d9604297a79879ff1494e9e"),
+            ("--law chernoff --draws 500 --seed 1729",
+             "e4deee05d11d5459f0e0f0e10e894b45a8bb176c7b797144958912829185cc35"),
+        ],
+    )
+    def test_outputs_are_pinned(self, capsys, argv, digest):
+        # sha256 of the whole stdout, header and every digit of every draw
+        assert run_cli(["limit", *argv.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "horizon, step, error", [("1", "0.3", "not integral"), ("inf", "1", "T < inf")]
+    )
+    def test_bad_grid_exits_3(self, capsys, horizon, step, error):
+        argv = ["limit", "--law", "chernoff", "--horizon", horizon, "--step", step]
+        assert run_cli(argv) == 3
+        assert error in capsys.readouterr().err
+
     def test_boundary_hit_exits_3(self, capsys):
         argv = ["limit", "--law", "chernoff", "--horizon", "0.5", "--draws", "200"]
         assert run_cli(argv) == 3
@@ -705,8 +729,15 @@ def test_every_package_exception_is_a_value_error():
         and issubclass(obj, BaseException)
         and obj.__module__ == info.name
     ]
-    assert len(classes) >= 5
+    names = {c.__name__ for c in classes}
+    assert names >= {"BoundaryHitError", "ConfigError", "DesignError", "RateSpecError"}
     assert [c for c in classes if not issubclass(c, ValueError)] == []
+
+
+def test_every_export_resolves():
+    # a stale name in a module's __all__ breaks ``from module import *``
+    for info in pkgutil.walk_packages(mixedrates.__path__, "mixedrates."):
+        exec(f"from {info.name} import *", {})
 
 
 def test_help_documents_exit_codes(capsys):

@@ -671,6 +671,17 @@ class TestLassoConfigValidation:
         with pytest.raises(ValueError):
             LassoConfig(design=X, beta_true=[1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        y, cfg = make_instance(50, 17)
+        X = cfg.design.copy()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LassoConfig(design=X, beta_true=[1.0, 0.0])
+        y[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_bridge_lasso(y, cfg)
+
     def test_rejects_bad_gamma(self):
         X = generate_lasso_design(20, 2, SeedStream(17, 0))
         with pytest.raises(ValueError):

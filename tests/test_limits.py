@@ -11,16 +11,16 @@ from scipy.special import airy
 from scipy.stats import kstwobign
 
 from mixedrates.distributions import SeedStream, sample_gaussian_vector
-from mixedrates.estimators import shorth_population
+from mixedrates.estimators import generate_lasso_design, shorth_population
 from mixedrates.harness import EXPERIMENTS, ks_two_sample
 from mixedrates.limits import (
     GRID_MAX_SHIFT,
     KMEANS_SIGMA,
+    LASSO_C11,
     BoundaryHitError,
     ChernoffConfig,
     _chernoff_argmax_and_max,
     _linearization_gate,
-    _validate_grid,
     chernoff_scale,
     empirical_criterion_diff,
     estimate_kmeans_cov,
@@ -108,7 +108,7 @@ def lexsort_argmax_and_max(cfg, stream):
     """Reference for the sampler's kernel: each chunk of paths as one
     (m, 2n+1) matrix, permuted into increasing-|t| order with negative t
     first, so that np.argmax's first-maximum rule is the tie rule."""
-    n = _validate_grid(cfg.T, cfg.h)
+    n = round(cfg.T / cfg.h)
     gen = stream.generator()
     t_grid = (np.arange(2 * n + 1) - n) * cfg.h
     perm = np.lexsort((t_grid, np.abs(t_grid)))
@@ -362,7 +362,7 @@ class TestShorthRLimit:
 
 class TestLassoLimit:
     def test_no_penalty_is_centered(self):
-        d = sample_lasso_limits(1 / 3, 0.0, 0.5, 1.0, SeedStream(31, 0), 100_000)
+        d = sample_lasso_limits(0.0, 0.5, 1.0, SeedStream(31, 0), 100_000)
         assert abs(d.mean()) < 3.0 * math.sqrt(3.0 / 100_000)
 
     def test_moments_match_localized_criterion_oracle(self):
@@ -376,7 +376,7 @@ class TestLassoLimit:
         minimizers = np.empty(z.size)
         for i, zi in enumerate(z):
             minimizers[i] = us[np.argmin(us * us * C11 - 2.0 * us * zi + penalty)]
-        draws = sample_lasso_limits(C11, lam0, 0.5, sigma, SeedStream(31, 2), 100_000)
+        draws = sample_lasso_limits(lam0, 0.5, sigma, SeedStream(31, 2), 100_000)
         se_mean = draws.std() / math.sqrt(draws.size) + minimizers.std() / math.sqrt(z.size)
         assert abs(draws.mean() - minimizers.mean()) < 3.0 * se_mean
         assert abs(draws.mean() - (-lam0 / (4.0 * C11))) < 3.0 * se_mean
@@ -384,9 +384,11 @@ class TestLassoLimit:
         assert rel_var < 0.05
         assert abs(draws.var() - sigma**2 / C11) / (sigma**2 / C11) < 0.05
 
-    def test_requires_positive_curvature(self):
-        with pytest.raises(ValueError):
-            sample_lasso_limits(0.0, 1.0, 0.5, 1.0, SeedStream(31, 3), 10)
+    def test_curvature_is_the_design_variance(self):
+        # C11 is the limit of (X'X/n)_11 for the runner's centered
+        # Uniform[-1, 1] design columns, Var U = 1/3
+        X = generate_lasso_design(200_000, 2, SeedStream(31, 3))
+        assert abs(X[:, 0] @ X[:, 0] / len(X) - LASSO_C11) < 0.005
 
 
 class TestKmeansScores:
@@ -407,24 +409,25 @@ class TestKmeansScores:
         assert not res.passed
 
     def test_exact_covariance_is_four_identity(self):
-        assert np.array_equal(KMEANS_SIGMA.entries, 4.0 * np.eye(4))
+        assert np.array_equal(KMEANS_SIGMA, 4.0 * np.eye(4))
+        assert not KMEANS_SIGMA.flags.writeable
 
     def test_covariance_matches_hand_moments(self):
         # Var of each score is 4: the spread scores give
         # 4 E (|x|-1)^2 = 4 (E x^2 - 2 E|x| + 1) = 4 under the double
         # exponential; the offset scores give 4 E y^2 = 4 with y = +/-1
-        estimate = estimate_kmeans_cov(2_000_000, SeedStream(32, 2)).entries
-        exact = KMEANS_SIGMA.entries
+        estimate = estimate_kmeans_cov(2_000_000, SeedStream(32, 2))
+        exact = KMEANS_SIGMA
         assert np.max(np.abs(np.diag(estimate - exact))) < 0.03
         off = ~np.eye(4, dtype=bool)
         assert np.max(np.abs((estimate - exact)[off])) < 0.03
 
     def test_covariance_self_consistent_when_doubling(self):
-        exact = KMEANS_SIGMA.entries
+        exact = KMEANS_SIGMA
         # 3 Monte Carlo standard errors of a variance-of-scores entry
         se = 3.0 * math.sqrt(128.0 / 1_000_000)
         for samples in (1_000_000, 4_000_000):
-            estimate = estimate_kmeans_cov(samples, SeedStream(32, 3)).entries
+            estimate = estimate_kmeans_cov(samples, SeedStream(32, 3))
             assert np.max(np.abs(estimate - exact)) < 3.0 * se
 
     def test_scores_mean_zero(self):
