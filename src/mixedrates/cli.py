@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -66,9 +67,11 @@ class ConfigError(ValueError):
     pass
 
 
+@functools.cache
 def _git_revision() -> str | None:
     """HEAD of the checkout this package was loaded from, or None when git
-    is missing or the package does not sit in a git checkout."""
+    is missing or the package does not sit in a git checkout.  Read once per
+    process: every manifest a process writes names the same checkout."""
     try:
         proc = subprocess.run(
             ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],

@@ -24,11 +24,9 @@ from .kmeans import (
     KmeansCoords,
     KmeansGlobalResult,
     KmeansWorkspace,
-    assign_clusters,
     centers_from_coords,
     fit_kmeans2,
     fit_kmeans2_global,
-    update_centers,
     within_ss,
 )
 
@@ -51,10 +49,8 @@ __all__ = [
     "KmeansCoords",
     "KmeansGlobalResult",
     "KmeansWorkspace",
-    "assign_clusters",
     "centers_from_coords",
     "fit_kmeans2",
     "fit_kmeans2_global",
-    "update_centers",
     "within_ss",
 ]

@@ -22,8 +22,6 @@ __all__ = [
     "KmeansGlobalResult",
     "KmeansWorkspace",
     "INIT_CENTERS",
-    "assign_clusters",
-    "update_centers",
     "within_ss",
     "centers_from_coords",
     "fit_kmeans2",
@@ -56,27 +54,25 @@ class KmeansCoords:
 
 
 def _discriminate(points: np.ndarray, centers: np.ndarray, proj: np.ndarray, out: np.ndarray):
-    """Nearest-center labels as bools in ``out``, with ``proj`` holding the
-    projections; see ``assign_clusters``."""
-    c0, c1 = centers
-    np.matmul(points, c1 - c0, out=proj)
-    return np.greater(proj, 0.5 * (c1 @ c1 - c0 @ c0), out=out)
-
-
-def assign_clusters(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels in {0, 1}; squared-distance ties go to center 1
-    (index 0).
+    """Nearest-center labels as bools in ``out`` (True for center index 1),
+    with ``proj`` holding the projections; squared-distance ties go to index
+    0.
 
     |p - c1|^2 < |p - c0|^2 is the linear discriminant
     p . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so labelling is one
     matrix-vector product.
     """
-    n = len(points)
-    return _discriminate(points, centers, np.empty(n), np.empty(n, dtype=bool)).astype(np.int8)
+    c0, c1 = centers
+    np.matmul(points, c1 - c0, out=proj)
+    return np.greater(proj, 0.5 * (c1 @ c1 - c0 @ c0), out=out)
 
 
 def _cluster_means(points, count1: int, sum1, centers: np.ndarray, total):
-    """``update_centers`` from cluster 1's count and sum."""
+    """Cluster means from cluster 1's count ``count1`` and sum ``sum1``;
+    cluster 0's sum is the sample total ``total`` minus ``sum1``, so no
+    masked copy of the points is made.  An emptied cluster is re-seeded at
+    the point farthest from the other center.  Returns (new_centers,
+    repaired_flag)."""
     counts = (len(points) - count1, count1)
     sums = (total - sum1, sum1)
     new = centers.copy()
@@ -92,19 +88,6 @@ def _cluster_means(points, count1: int, sum1, centers: np.ndarray, total):
     return new, repaired
 
 
-def update_centers(
-    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, total: np.ndarray
-):
-    """Cluster means; an emptied cluster is re-seeded at the point farthest
-    from the other center.  Returns (new_centers, repaired_flag).
-
-    Cluster 1's sum is ``labels @ points`` and cluster 0's is the sample
-    total ``total`` (``np.ones(n) @ points``) minus it, so no masked copy of
-    the points is made.
-    """
-    return _cluster_means(points, np.count_nonzero(labels), labels @ points, centers, total)
-
-
 def within_ss(points: np.ndarray, centers: np.ndarray) -> float:
     """Mean squared distance to the nearest center (the k-means criterion)."""
     d0 = np.sum((points - centers[0]) ** 2, axis=1)
@@ -113,22 +96,29 @@ def within_ss(points: np.ndarray, centers: np.ndarray) -> float:
 
 
 class KmeansWorkspace:
-    """The per-point buffers of ``fit_kmeans2``, reused from fit to fit so
-    that no Lloyd step or transfer pass allocates an array of the sample's
-    length.
+    """One loaded sample, the sums that both starts share and the per-point
+    buffers of ``fit_kmeans2``, reused from fit to fit so that no Lloyd step
+    or transfer pass allocates an array of the sample's length.
 
-    A workspace grows to the largest sample it is given and fits a smaller
-    one in the leading part of each buffer.  Loading a sample overwrites the
-    one loaded before it, so a workspace serves one fit at a time.
+    The buffers grow to the largest sample loaded and hold a smaller one in
+    their leading part.  Loading a sample overwrites the one loaded before
+    it, so a workspace serves one fit at a time.
+
+    Lloyd takes both cluster sums from the sample total and ``weights @
+    points``, with ``weights`` the float copy of the labels.  The transfers
+    work on the columns ``x`` and ``y`` taken about the sample mean
+    ``shift``, so the rounding of the squared distances stays far below the
+    floor wherever the sample lies.
     """
 
     def __init__(self):
-        # one row per buffer that ``_Sample`` names
+        # one row per buffer that ``load`` names
         self._floats = np.empty((9, 0))
         self._bools = np.empty((4, 0), dtype=bool)
 
-    def load(self, sample) -> "_Sample":
-        """Validate ``sample`` and do the work both starts share."""
+    def load(self, sample) -> KmeansWorkspace:
+        """Validate ``sample``, do the work both starts share and return the
+        workspace, now holding it."""
         points = np.asarray(sample, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("sample must be an (n, 2) array of planar points")
@@ -140,25 +130,10 @@ class KmeansWorkspace:
         if n > self._floats.shape[1]:
             self._floats = np.empty((len(self._floats), n))
             self._bools = np.empty((len(self._bools), n), dtype=bool)
-        return _Sample(points, self._floats[:, :n], self._bools[:, :n])
-
-
-class _Sample:
-    """A validated sample, the sums that both starts share and the
-    workspace buffers of its length.
-
-    Lloyd takes both cluster sums from the sample total and ``weights @
-    points``, with ``weights`` the float copy of the labels.  The transfers
-    work on the columns ``x`` and ``y`` taken about the sample mean
-    ``shift``, so the rounding of the squared distances stays far below the
-    floor wherever the sample lies.
-    """
-
-    def __init__(self, points: np.ndarray, floats: np.ndarray, bools: np.ndarray):
         self.points = points
         (self.x, self.y, self.proj, self.weights, self.d0, self.d1,
-         self.gain0, self.gain1, self.floor) = floats
-        self.labels, self.next_labels, self.mask0, self.mask1 = bools
+         self.gain0, self.gain1, self.floor) = self._floats[:, :n]
+        self.labels, self.next_labels, self.mask0, self.mask1 = self._bools[:, :n]
         self.weights.fill(1.0)
         self.total = self.weights @ points
         # column by column: reductions along axis 0 of an (n, 2) array are
@@ -167,12 +142,13 @@ class _Sample:
         np.subtract(points[:, 0], self.shift[0], out=self.x)
         np.subtract(points[:, 1], self.shift[1], out=self.y)
         self.xy_total = (float(self.x.sum()), float(self.y.sum()))
+        return self
 
 
-def _lloyd(data: _Sample, init: str):
+def _lloyd(data: KmeansWorkspace, init: str):
     """Lloyd iteration from the ``init`` starting pair until the assignments
     repeat or for at most 200 steps.  Returns (labels, centers,
-    repaired_flag), the labels as one of the sample's bool buffers; at a
+    repaired_flag), the labels as one of the workspace's bool buffers; at a
     repeat the centers are the means of ``labels``."""
     points = data.points
     centers = INIT_CENTERS[init].copy()
@@ -207,7 +183,7 @@ def _gain(d_own, d_other, n_own: int, n_other: int, out=None, scratch=None):
     return np.subtract(out, scratch, out=out)
 
 
-def _transfers(data: _Sample, labels: np.ndarray):
+def _transfers(data: KmeansWorkspace, labels: np.ndarray):
     """Hartigan's single-point transfers from the partition ``labels``, a
     bool array that they change in place, by the rule stated in
     ``fit_kmeans2``.  Returns (labels, centers, criterion value), read from
@@ -313,43 +289,27 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
 
     Lloyd iteration runs first, until the assignments repeat or for 200
     steps.  Each step labels the points by the linear discriminant
-    p . (c1 - c0) > (|c1|^2 - |c0|^2)/2 (as ``assign_clusters`` does) and
-    takes both cluster sums from one product labels @ points and the sample
-    total (as ``update_centers`` does).  Hartigan's single-point transfers
-    (Hartigan and Wong 1979, AS 136) then start from Lloyd's partition
-    (``_transfers``).  Moving p from cluster A to cluster B lowers the sum
-    of squares by n_A/(n_A-1) |p - m_A|^2 - n_B/(n_B+1) |p - m_B|^2.  A pass
-    evaluates that gain for every point at once and moves, largest first,
-    the points whose gain, re-checked on running sums, exceeds the rounding
-    floor 1e-12 (|p - m_A|^2 + |p - m_B|^2) without emptying A.  The search
-    stops after a pass that moves nothing.  It terminates because each move
-    lowers the sum of squares strictly and there are finitely many
-    partitions.  At the stop no single transfer improves the criterion, so
-    the partition is also a Lloyd fixed point (Telgarsky and Vattani 2010):
-    each point is nearest its own cluster's mean, and the centers are the
-    means of their Voronoi cells.
+    (``_discriminate``) and takes both cluster sums from one product
+    labels @ points and the sample total (``_cluster_means``).  Hartigan's
+    single-point transfers (Hartigan and Wong 1979, AS 136) then start from
+    Lloyd's partition (``_transfers``).  Moving p from cluster A to cluster B
+    lowers the sum of squares by n_A/(n_A-1) |p - m_A|^2 - n_B/(n_B+1)
+    |p - m_B|^2.  A pass evaluates that gain for every point at once and
+    moves, largest first, the points whose gain, re-checked on running sums,
+    exceeds the rounding floor 1e-12 (|p - m_A|^2 + |p - m_B|^2) without
+    emptying A.  The search stops after a pass that moves nothing.  It
+    terminates because each move lowers the sum of squares strictly and
+    there are finitely many partitions.  At the stop no single transfer
+    improves the criterion, so the partition is also a Lloyd fixed point
+    (Telgarsky and Vattani 2010): each point is nearest its own cluster's
+    mean, and the centers are the means of their Voronoi cells.
 
-    On the 600 fits of the seed-1729 n = 1000...16000 ladder (300 samples,
-    both starts) a fit takes 2.4 passes and 4.1 transfers on average, and at
-    most 35 passes and 248 transfers; a pass costs a few vector operations
-    over the sample.  Lloyd stays because it moves most points far more
-    cheaply: the transfers alone, from the starting partition, need 11.7
-    passes a fit, their early passes move hundreds of points one by one, and
-    they take about 2.8 times as long.
-
-    The per-point arrays of every step and pass live in a
-    :class:`KmeansWorkspace` and are filled in place by ``out=`` ufuncs, so
-    no Lloyd step or transfer pass allocates an array of the sample's
-    length (an empty-cluster repair aside).  Loading a sample into the
-    workspace validates it and computes what both starts share: the sample
-    total that Lloyd's cluster sums start from, and the columns about the
-    sample mean that the transfers work on.  ``fit_kmeans2_global`` loads
-    each sample once for both starts, and the ``kmeans`` runner keeps one
-    workspace for a block of replicates.  Every formula keeps its operands
-    and its kernel: the projections ``points @ (c1 - c0)`` and the cluster
-    sums ``labels @ points`` stay BLAS matrix-vector products, the latter
-    with the labels as float64.  So a fit is bit for bit the same in any
-    workspace; at n = 16000 the buffers take about 1.2 MB.
+    Every step and pass works in the buffers of a :class:`KmeansWorkspace`.
+    ``fit_kmeans2_global`` loads each sample once for both starts, and the
+    ``kmeans`` runner keeps one workspace for a block of replicates.  The
+    projections ``points @ (c1 - c0)`` and the cluster sums
+    ``labels @ points`` stay BLAS matrix-vector products, so a fit is bit for
+    bit the same in any workspace.
 
     A fit that wanders more than Hausdorff distance 1/2 from its start is
     flagged but still returned.  Non-finite points are rejected with
@@ -361,7 +321,7 @@ def fit_kmeans2(sample: np.ndarray, init: str) -> KmeansCoords:
     return _fit(data, init)
 
 
-def _fit(data: _Sample, init: str) -> KmeansCoords:
+def _fit(data: KmeansWorkspace, init: str) -> KmeansCoords:
     labels, _, repaired = _lloyd(data, init)
     _, centers, w = _transfers(data, labels)
     centers = _order_centers(centers, init)

@@ -10,7 +10,7 @@ candidates instead of hoping a smooth optimizer lands on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,13 +50,15 @@ def check_bridge_params(gamma, lambda0, sigma) -> None:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Problem instance: design, truth, penalty exponent and scale, noise sd."""
+    """Problem instance: design, truth, penalty exponent and scale, noise sd.
+    ``xtx`` is the design's Gram matrix X'X, formed once here."""
 
     design: np.ndarray
     beta_true: np.ndarray
     gamma: float = 0.5
     lambda0: float = 2.0
     sigma: float = 1.0
+    xtx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, design, beta_true, gamma=0.5, lambda0=2.0, sigma=1.0):
         X = np.asarray(design, dtype=np.float64)
@@ -69,13 +71,15 @@ class LassoConfig:
         col_means = X.mean(axis=0)
         if np.max(np.abs(col_means)) > 1e-10:
             raise ValueError("design columns must be centered to mean zero")
-        if _singular((X.T @ X)[None], X.shape[0]).size:
+        xtx = X.T @ X
+        if _singular(xtx[None], X.shape[0]).size:
             raise DesignError("normalized Gram matrix C_n is numerically singular")
         object.__setattr__(self, "design", X)
         object.__setattr__(self, "beta_true", b)
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "lambda0", float(lambda0))
         object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "xtx", xtx)
 
     @property
     def n(self) -> int:
@@ -455,8 +459,7 @@ def fit_bridge_lasso(responses: np.ndarray, config: LassoConfig) -> LassoFit:
             f"d = {d} is not supported (d <= 3): the grid stage holds 102^d criterion "
             "values, and one float64 array of a 102^4 grid is 0.87 GB"
         )
-    xtx = np.swapaxes(X, 1, 2) @ X
-    return fit_bridge_lasso_block(X, y[None], xtx, config.lambda_n, config.gamma)[0]
+    return fit_bridge_lasso_block(X, y[None], config.xtx[None], config.lambda_n, config.gamma)[0]
 
 
 def fit_bridge_lasso_block(

@@ -66,8 +66,7 @@ class ChernoffConfig:
     Chernoff's law by up to one lattice mass, f(0) h/a = 0.003 (f(0) = 0.758),
     under 1/4 of the KS null median 0.83 sqrt(2/R) = 0.026 of ``shorth-m-law``
     (R = 2000 a side); in ``oracle-chernoff-scaling`` both samples share one
-    lattice.  200000 draws read KS 0.0030 against the exact law (null median
-    0.0019).  The grid maximum of sqrt(c1) B is low by about GRID_MAX_SHIFT *
+    lattice.  The grid maximum of sqrt(c1) B is low by about GRID_MAX_SHIFT *
     sqrt(c1 h) (Asmussen, Glynn & Pitman 1995; Broadie, Glasserman & Kou 1997).
     """
 

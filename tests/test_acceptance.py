@@ -22,7 +22,13 @@ from scipy.stats import kstwobign
 from mixedrates import acceptance as acc
 from mixedrates.distributions import SeedStream
 from mixedrates.estimators import shorth_population
-from mixedrates.harness import EXPERIMENTS, LadderRecord, compare_with_limit, run_cells
+from mixedrates.harness import (
+    EXPERIMENTS,
+    LadderRecord,
+    compare_with_limit,
+    run_cells,
+    zero_fraction,
+)
 from mixedrates.limits import LASSO_C11, kmeans_scores, kmeans_two_line_sample
 
 SEED = acc.DEFAULT_SEED
@@ -185,6 +191,20 @@ def test_lasso_law_at_the_defaults_is_unchanged():
     defaults = EXPERIMENTS["lasso"].defaults
     law = EXPERIMENTS["lasso"].laws["alpha1"](defaults, SEED, 2000, 5000)
     assert np.array_equal(law, gamma_blind_lasso_law(defaults, SEED, 2000, 5000))
+
+
+def test_lasso_alpha2_atom_at_gamma_one():
+    # at gamma = 1 sqrt(n) alpha2 tends to sign(W2)(|W2| - lambda0/2)_+ / C22,
+    # W2 ~ N(0, sigma^2 C22) (Knight & Fu 2000, Thm 2), so P(alpha2 = 0)
+    # tends to 2 Phi(lambda0 / (2 sigma sqrt(C22))) - 1, which is
+    # 2 Phi(sqrt(3)) - 1 = 0.9167 at the defaults: C tends to I/3, so
+    # C22 = 1/3.  The band is 4 binomial sd of R = 400 fits, +/- 0.055.
+    n, R, c22 = 2000, 400, 1.0 / 3.0
+    params = {**EXPERIMENTS["lasso"].defaults, "gamma": 1.0}
+    x = params["lambda0"] / (2.0 * params["sigma"] * math.sqrt(c22))
+    atom = math.erf(x / math.sqrt(2.0))
+    frac, _ = zero_fraction(run_cells("lasso", [n], R, SEED, params), "alpha2")
+    assert abs(frac - atom) <= 4.0 * math.sqrt(atom * (1.0 - atom) / R), (frac, atom)
 
 
 @pytest.fixture(scope="module")

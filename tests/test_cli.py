@@ -397,16 +397,39 @@ def test_manifests_carry_environment(small_runs, monkeypatch, tmp_path, capsys):
     assert cli._manifest("verify", {"master_seed": 1}, "now")["peak_rss_mb"] is None
 
 
-def test_git_revision_is_none_without_git_or_checkout(monkeypatch):
+@pytest.fixture
+def fresh_git_revision():
+    """``_git_revision`` with its per-process cache emptied before and after."""
+    cli._git_revision.cache_clear()
+    yield
+    cli._git_revision.cache_clear()
+
+
+def test_git_revision_is_none_without_git_or_checkout(monkeypatch, fresh_git_revision):
     def missing(*args, **kwargs):
         raise FileNotFoundError("git")
 
     monkeypatch.setattr(cli.subprocess, "run", missing)
     assert cli._git_revision() is None
+    cli._git_revision.cache_clear()
     outside = subprocess.CompletedProcess([], 128, stdout="", stderr="fatal: not a git repository")
     monkeypatch.setattr(cli.subprocess, "run", lambda *args, **kwargs: outside)
     assert cli._git_revision() is None
     assert cli._environment()["git_revision"] is None
+
+
+def test_git_revision_is_read_once_per_process(monkeypatch, fresh_git_revision):
+    calls = []
+    head = subprocess.CompletedProcess([], 0, stdout="ab" * 20 + "\n", stderr="")
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        return head
+
+    monkeypatch.setattr(cli.subprocess, "run", run)
+    first, second = cli._environment(), cli._environment()
+    assert first["git_revision"] == second["git_revision"] == "ab" * 20
+    assert len(calls) == 1
 
 
 # sha256 of every output of the small_runs fixture but manifest.json, which

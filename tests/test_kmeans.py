@@ -6,11 +6,9 @@ from mixedrates.distributions import SeedStream
 from mixedrates.estimators import kmeans
 from mixedrates.estimators import (
     INIT_CENTERS,
-    assign_clusters,
     centers_from_coords,
     fit_kmeans2,
     fit_kmeans2_global,
-    update_centers,
     within_ss,
 )
 from mixedrates.harness import _replicate_stream
@@ -49,6 +47,21 @@ def full_pattern_search(points, centers, step, rounds=40):
             best = best_val
             last_move = rnd
     return cur, best, last_move
+
+
+def nearest(points, centers):
+    """Nearest-center labels by the discriminant kernel, True for center
+    index 1, in fresh buffers."""
+    n = len(points)
+    return kmeans._discriminate(points, centers, np.empty(n), np.empty(n, dtype=bool))
+
+
+def cluster_means(points, labels, centers):
+    """The Lloyd update of the kernels: the means of the clusters of
+    ``labels``, from cluster 1's count and sum and the sample total."""
+    total = np.ones(len(points)) @ points
+    count1 = np.count_nonzero(labels)
+    return kmeans._cluster_means(points, count1, labels @ points, centers, total)
 
 
 def lloyd(points, init):
@@ -121,18 +134,17 @@ class TestSymmetricFixedPoint:
 class TestLloydMechanics:
     def test_assignment_ties_go_to_first_center(self):
         centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-        labels = assign_clusters(np.array([[1.0, 0.0]]), centers)
-        assert labels.tolist() == [0]
+        labels = nearest(np.array([[1.0, 0.0]]), centers)
+        assert labels.tolist() == [False]
 
     def test_lloyd_descends_monotonically(self):
         pts = kmeans_two_line_sample(2000, SeedStream(21, 0))
         centers = INIT_CENTERS["cv"].copy()
-        labels = assign_clusters(pts, centers)
+        labels = nearest(pts, centers)
         last = within_ss(pts, centers)
-        total = np.ones(len(pts)) @ pts
         for _ in range(50):
-            centers, _ = update_centers(pts, labels, centers, total)
-            new_labels = assign_clusters(pts, centers)
+            centers, _ = cluster_means(pts, labels, centers)
+            new_labels = nearest(pts, centers)
             val = within_ss(pts, centers)
             assert val <= last + 1e-12
             last = val
@@ -178,7 +190,7 @@ class TestKernels:
             centers = gen.normal(0.0, 1.0, size=(2, 2))
             d0 = np.sum((pts - centers[0]) ** 2, axis=1)
             d1 = np.sum((pts - centers[1]) ** 2, axis=1)
-            assert np.array_equal(assign_clusters(pts, centers), (d1 < d0).astype(np.int8))
+            assert np.array_equal(nearest(pts, centers), d1 < d0)
 
     @pytest.mark.parametrize(
         "centers, ties",
@@ -194,18 +206,17 @@ class TestKernels:
         d0 = np.sum((ties - centers[0]) ** 2, axis=1)
         d1 = np.sum((ties - centers[1]) ** 2, axis=1)
         assert np.array_equal(d0, d1)
-        assert assign_clusters(ties, centers).tolist() == [0] * len(ties)
-        assert assign_clusters(ties, centers[::-1]).tolist() == [0] * len(ties)
+        assert nearest(ties, centers).tolist() == [False] * len(ties)
+        assert nearest(ties, centers[::-1]).tolist() == [False] * len(ties)
 
     def test_update_matches_masked_means(self):
         pts = kmeans_two_line_sample(3000, SeedStream(27, 1))
         centers = np.array([[-0.9, 0.1], [1.1, -0.05]])
-        labels = assign_clusters(pts, centers)
-        new, repaired = update_centers(pts, labels, centers, np.ones(len(pts)) @ pts)
+        labels = nearest(pts, centers)
+        new, repaired = cluster_means(pts, labels, centers)
         assert not repaired
         for j in (0, 1):
             assert np.allclose(new[j], pts[labels == j].mean(axis=0), rtol=0, atol=1e-14)
-
 
 
 class TestTransfers:
@@ -215,7 +226,7 @@ class TestTransfers:
             pts = kmeans_two_line_sample(n, SeedStream(29, r))
             for init in ("cv", "ch"):
                 fit = fit_kmeans2(pts, init)
-                labels = assign_clusters(pts, fit.centers)
+                labels = nearest(pts, fit.centers)
                 assert worst_transfer_drop(pts, labels) <= 1e-12
 
     @pytest.mark.parametrize("n", [500, 1000, 2000])
@@ -224,7 +235,7 @@ class TestTransfers:
             pts = kmeans_two_line_sample(n, SeedStream(29, r))
             for init in ("cv", "ch"):
                 fit = fit_kmeans2(pts, init)
-                labels = assign_clusters(pts, fit.centers)
+                labels = nearest(pts, fit.centers)
                 for j in (0, 1):
                     cell_mean = pts[labels == j].mean(axis=0)
                     scale = np.max(np.abs(fit.centers[j]))
